@@ -48,7 +48,6 @@ _LAZY_EXPORTS = {
     "SweepPlan": ("repro.parallel", "SweepPlan"),
     "SweepStats": ("repro.parallel", "SweepStats"),
     "WorkerPool": ("repro.parallel", "WorkerPool"),
-    "run_sweep": ("repro.parallel", "run_sweep"),
     "sweep_values": ("repro.parallel", "values"),
     # machine construction and schemes
     "DiskSpec": ("repro", "DiskSpec"),

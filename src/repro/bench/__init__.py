@@ -36,31 +36,17 @@ sweep cell is first looked up in the content-addressed sweep cache
 experiment and fleet computation while producing byte-identical
 records.  The hot-path probes always run — they *are* the measurement.
 
-Schema migration (``repro.bench/2`` → ``/3``): the payload gained a
-``stages`` map (per-stage wall seconds: ``hot_path``/``experiments``/
-``sweep``/``fleet`` — compare a cold artifact's stage seconds against
-a warm one's for the cold-vs-warm trajectory), a ``cache`` block
-(enabled flag, hit/miss/put/error counts, ``hit_ratio``), and a
-``pool`` block (processes forked, sweeps served — ``forks`` staying
-flat while ``runs_served`` grows is the pool doing its job);
-``experiments`` gained ``digests`` (short sha256 of each experiment's
-canonical records, so two artifacts can be compared for byte-identity
-without carrying the records) and ``cache_hits``;
-``sweep.workers.<n>`` gained ``pool_reuse``/``spooled_payloads``/
-``spool_bytes``/``cache_hits``/``cache_misses`` from
-:class:`repro.parallel.SweepStats`.  Every ``/2`` field is still
-present with unchanged meaning, so history stays comparable; cached
-runs are marked by ``cache.enabled`` + nonzero ``cache.hits`` (compare
-wall-clock trajectories cold-to-cold or warm-to-warm only — the
-``--min-speedup`` gate already skips cached runs for that reason).
-
-Schema migration (``repro.bench/1`` → ``/2``): ``hot_path`` gained a
-``probes`` map (per-probe events/seconds/rate/baseline) — the old
-flat fields now describe the *combined* run; ``sweep.workers.<n>``
-gained ``dispatch_s``/``compute_s``/``merge_s``/``transport``/
-``batch_size`` from :class:`repro.parallel.SweepStats`.  Consumers of
-the v1 flat ``hot_path`` fields keep working; per-probe trajectories
-must read ``hot_path.probes``.
+The payload holds ``hot_path`` (the combined headline plus one entry
+per probe under ``probes``), ``experiments`` (seconds per experiment,
+the serial total, and a short sha256 ``digests`` entry per experiment,
+so two artifacts can be compared for byte-identity without carrying
+the records), ``sweep`` (per worker count: seconds, speedup and the
+:class:`repro.parallel.SweepStats` stage split; plus ``divergence``),
+``fleet``, ``stages`` (wall seconds per stage), ``cache`` (hit/miss/put
+counts and ``hit_ratio``), ``pool`` (``forks`` staying flat while
+``runs_served`` grows is the pool doing its job) and ``host``.  Cached
+runs are marked by ``cache.enabled`` plus nonzero ``cache.hits``:
+compare wall-clock trajectories cold-to-cold or warm-to-warm only.
 
 Wall-clock numbers are hardware-dependent by nature; the JSON records
 the host's CPU count alongside them so trajectories are only compared
@@ -291,11 +277,8 @@ def bench_sweep_scaling(
             "merge_s": round(stats.merge_s, 4),
             "transport": stats.transport,
             "batch_size": stats.batch_size,
-            "shm_spills": stats.shm_spills,
             "retried_cells": stats.retried_cells,
             "pool_reuse": stats.pool_reuse,
-            "spooled_payloads": stats.spooled_payloads,
-            "spool_bytes": stats.spool_bytes,
             "cache_hits": stats.cache_hits,
             "cache_misses": stats.cache_misses,
         }

@@ -14,18 +14,14 @@ from repro.parallel.executor import (
     SweepPlan,
     SweepStats,
     resolve_workers,
-    run_sweep,
     values,
 )
-from repro.parallel.pool import WorkerPool, shm_available
-from repro.parallel.spool import PayloadSpool, SpoolReader
+from repro.parallel.pool import WorkerPool
 
 __all__ = [
     "DEFAULT_WORKER_CAP",
     "Executor",
-    "PayloadSpool",
     "RunOutcome",
-    "SpoolReader",
     "SweepCache",
     "SweepError",
     "SweepPlan",
@@ -35,7 +31,5 @@ __all__ = [
     "closure_stats",
     "default_cache_dir",
     "resolve_workers",
-    "run_sweep",
-    "shm_available",
     "values",
 ]

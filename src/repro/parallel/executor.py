@@ -4,8 +4,7 @@ Every figure and table in the paper's evaluation is a sweep of
 independent (scheme, workload, seed) simulations, and the chaos soak is
 a sweep of independent seeds — embarrassingly parallel work that the
 serial runner used to grind through one cell at a time.  The
-:class:`Executor` (configured by a :class:`SweepPlan`; the legacy
-:func:`run_sweep` is a deprecated shim over both) fans such cells
+:class:`Executor` (configured by a :class:`SweepPlan`) fans such cells
 across worker processes while keeping the *results* exactly what the
 serial loop would have produced:
 
@@ -26,16 +25,6 @@ serial loop would have produced:
   round-trip amortises over several cells.  Completion is still
   reported per cell — progress, timeouts, and crash containment keep
   cell granularity.
-* **Shared-memory results, mmap-spooled payloads.**  With
-  ``transport="shm"`` each worker owns a shared-memory segment;
-  results are pickled into it and only a tiny ``(offset, length)``
-  descriptor crosses the pipe (oversized results spill inline, counted
-  in :class:`SweepStats.shm_spills`).  Symmetrically, payloads whose
-  pickle meets ``spool_threshold`` are written once to an mmap'd spool
-  file (:mod:`repro.parallel.spool`) and referenced by descriptor, so a
-  large spec is serialised once however many cells, retries, and
-  re-queues touch it.  Platforms without ``fork`` degrade to ``"pipe"``
-  transport wholesale.
 * **Content-addressed caching.**  With ``plan.cache`` (or an explicit
   ``cache=`` :class:`~repro.parallel.cache.SweepCache`), each cell's
   key — canonical payload + callable + code digest — is probed before
@@ -65,25 +54,25 @@ serial loop would have produced:
   re-queued without consuming a retry.  Deterministic failures — the
   callable raising — are never retried.
 * **Graceful fallback.**  ``max_workers=1`` (or a platform where
-  process creation fails) runs every cell in-process, in order, with
-  no multiprocessing machinery at all.
+  process creation fails with ``OSError``) runs every cell in-process,
+  in order, with no multiprocessing machinery at all.  A shared pool
+  that was already shut down is a caller bug and raises instead.
 * **Interrupt hygiene.**  A ``KeyboardInterrupt`` (or ``SystemExit``)
-  mid-sweep terminates every worker outright, closes every pipe,
-  unlinks every shared-memory segment and spool file, and re-raises —
-  a Ctrl-C'd sweep leaves no orphan processes behind.  Workers
-  receiving the terminal's group-wide SIGINT while idle exit quietly
-  rather than printing tracebacks.
+  mid-sweep terminates every worker outright, closes every pipe, and
+  re-raises — a Ctrl-C'd sweep leaves no orphan processes behind.
+  Workers receiving the terminal's group-wide SIGINT while idle exit
+  quietly rather than printing tracebacks.
 
-Control transport is one duplex :func:`multiprocessing.Pipe` per worker
-rather than shared queues, deliberately: a ``Queue`` flushes through a
+Transport is one duplex :func:`multiprocessing.Pipe` per worker rather
+than shared queues, deliberately: a ``Queue`` flushes through a
 feeder thread, so a worker killed between cells can die holding the
 shared write lock and wedge every other worker.  With a pipe the worker
 sends synchronously from its main thread — a message is fully written
 before the next (crashable) cell starts — each worker's failure domain
 is its own pipe, and a broken pipe doubles as immediate crash detection
-(EOF on :func:`multiprocessing.connection.wait`).  See
-:mod:`repro.parallel.pool` for the worker protocol and segment
-synchronisation argument.
+(EOF on :func:`multiprocessing.connection.wait`).  Payloads go out and
+results come back pickled on that same pipe.  See
+:mod:`repro.parallel.pool` for the worker protocol.
 
 The worker function must be a module-level callable (it crosses the
 pipe pickled by reference) and payloads/results must be picklable.
@@ -94,10 +83,8 @@ advisory.
 
 from __future__ import annotations
 
-import pickle
 import time
 import traceback
-import warnings
 from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
@@ -107,9 +94,7 @@ from repro.parallel.pool import (
     PoolLease,
     WorkerPool,
     resolve_workers,
-    shm_available,
 )
-from repro.parallel.spool import PayloadSpool
 
 __all__ = [
     "DEFAULT_WORKER_CAP",
@@ -119,22 +104,12 @@ __all__ = [
     "SweepPlan",
     "SweepStats",
     "resolve_workers",
-    "run_sweep",
     "values",
 ]
 
 #: Ceiling for the auto-sized batch: load balancing degrades if one
 #: worker hoards too much of the sweep.
 _MAX_AUTO_BATCH = 16
-
-#: Payloads at or above this many pickled bytes go through the mmap
-#: spool by default.  Registry/fuzz payloads (tens to hundreds of
-#: bytes) stay inline; generated fleet scenarios and fault plans that
-#: outgrow a pipe buffer's comfort zone spool.
-DEFAULT_SPOOL_THRESHOLD = 1 << 14
-
-# Backwards-compatible private alias (pre-pool layout).
-_shm_available = shm_available
 
 
 class SweepError(RuntimeError):
@@ -145,23 +120,18 @@ class SweepError(RuntimeError):
 class SweepPlan:
     """Everything configurable about a sweep, as one picklable object.
 
+    ``timeout_s`` is each cell's wall-clock budget (None: unbounded).
     ``batch_size=None`` auto-sizes from the sweep (1 for short sweeps,
-    growing with cells-per-worker, capped).  ``transport`` selects how
-    results travel back: ``"shm"`` (shared memory, the default; falls
-    back to ``"pipe"`` where unavailable) or ``"pipe"`` (pickled over
-    the control pipe, the pre-batching behaviour).
-    ``spool_threshold`` is the pickled-payload size, in bytes, at which
-    payload fan-out switches from inline pipe messages to the mmap
-    spool (``None`` disables spooling).  ``cache=True`` consults the
-    content-addressed result cache in ``cache_dir`` (default:
+    growing with cells-per-worker, capped).  ``cache=True`` consults
+    the content-addressed result cache in ``cache_dir`` (default:
     ``$REPRO_CACHE_DIR`` or ``.repro-cache``) before dispatching any
     cell.
 
     When an :class:`Executor` is given a shared
     :class:`~repro.parallel.pool.WorkerPool`, the pool's own
-    ``transport`` and ``tasks_per_worker`` govern (they are properties
-    of the processes, which outlive any one plan); the plan's values
-    apply to the ephemeral pool created when no shared pool is passed.
+    ``tasks_per_worker`` governs (it is a property of the processes,
+    which outlive any one plan); the plan's value applies to the
+    ephemeral pool created when no shared pool is passed.
     """
 
     max_workers: Optional[int] = None
@@ -169,8 +139,6 @@ class SweepPlan:
     tasks_per_worker: Optional[int] = None
     retries: int = 1
     batch_size: Optional[int] = None
-    transport: str = "shm"
-    spool_threshold: Optional[int] = DEFAULT_SPOOL_THRESHOLD
     cache: bool = False
     cache_dir: Optional[str] = None
 
@@ -179,18 +147,14 @@ class SweepPlan:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         if self.batch_size is not None and self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe', got {self.transport!r}"
-            )
         if self.tasks_per_worker is not None and self.tasks_per_worker < 1:
             raise ValueError(
                 f"tasks_per_worker must be >= 1, got {self.tasks_per_worker}"
             )
-        if self.spool_threshold is not None and self.spool_threshold < 1:
-            raise ValueError(
-                f"spool_threshold must be >= 1, got {self.spool_threshold}"
-            )
+        # Written as ``not > 0`` so NaN, which fails every comparison,
+        # is rejected too: a budget of zero would time out every cell.
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(f"timeout_s must be > 0, got {self.timeout_s}")
 
 
 @dataclass
@@ -216,17 +180,15 @@ class SweepStats:
     dispatch_s: float = 0.0
     compute_s: float = 0.0
     merge_s: float = 0.0
-    #: Cells whose result outgrew the shared segment and went inline.
-    shm_spills: int = 0
     retried_cells: int = 0
     #: Sweeps the shared pool served before this one (0 = cold/ephemeral).
     pool_reuse: int = 0
-    #: Payload descriptors that referenced the mmap spool.
-    spooled_payloads: int = 0
-    #: Unique payload bytes written to the spool file (deduplicated).
-    spool_bytes: int = 0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Always 0: the pipe is the only transport, so nothing spills or
+    #: spools.  Kept because the perfbench ``sweep`` workload reads both.
+    shm_spills: int = 0
+    spooled_payloads: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -238,11 +200,8 @@ class SweepStats:
             "dispatch_s": round(self.dispatch_s, 4),
             "compute_s": round(self.compute_s, 4),
             "merge_s": round(self.merge_s, 4),
-            "shm_spills": self.shm_spills,
             "retried_cells": self.retried_cells,
             "pool_reuse": self.pool_reuse,
-            "spooled_payloads": self.spooled_payloads,
-            "spool_bytes": self.spool_bytes,
             "cache_hits": self.cache_hits,
             "cache_misses": self.cache_misses,
         }
@@ -325,42 +284,6 @@ def _run_serial(
 #: long enough for transient host pressure (the usual cause of a worker
 #: death) to clear, short enough to be invisible in a sweep.
 _RETRY_BACKOFF_S = 0.25
-
-
-def _spool_payloads(
-    payloads: Sequence[Any],
-    threshold: Optional[int],
-    stats: SweepStats,
-) -> Tuple[List[tuple], Optional[PayloadSpool]]:
-    """Payload descriptors for dispatch; big payloads go to the spool.
-
-    Returns one descriptor per payload — ``("inline", payload)`` below
-    the threshold, ``("spool", path, offset, length)`` at or above it —
-    plus the spool (caller closes it when the sweep ends).  Identical
-    large payloads deduplicate to one spool region.
-    """
-    if threshold is None:
-        return [("inline", p) for p in payloads], None
-    descs: List[tuple] = []
-    spool: Optional[PayloadSpool] = None
-    try:
-        for payload in payloads:
-            blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-            if len(blob) < threshold:
-                descs.append(("inline", payload))
-                continue
-            if spool is None:
-                spool = PayloadSpool()
-            offset, length = spool.append(blob)
-            descs.append(("spool", spool.path, offset, length))
-            stats.spooled_payloads += 1
-    except BaseException:
-        if spool is not None:
-            spool.close()
-        raise
-    if spool is not None:
-        stats.spool_bytes = spool.bytes_written
-    return descs, spool
 
 
 class Executor:
@@ -452,16 +375,16 @@ class Executor:
                 pool = WorkerPool(
                     max_workers=n_workers,
                     tasks_per_worker=plan.tasks_per_worker,
-                    transport=plan.transport,
                 )
                 lease = pool.lease(n_workers)
-        except (OSError, ValueError):
+        except OSError:
             # No processes on this platform (sandbox, resource limits):
             # degrade to the serial path rather than failing the sweep.
+            # A shared pool that is already shut down raises ValueError,
+            # which propagates: that is a caller bug, not a platform.
             if not shared and pool is not None:
                 pool.kill()
             stats.workers = 1
-            stats.transport = "serial"
             return _run_serial(fn, payloads, stats)
         pool.runs_served += 1
         budget = pool.tasks_per_worker
@@ -473,76 +396,26 @@ class Executor:
             batch = min(batch, budget)
         stats.workers = len(lease.workers)
         stats.batch_size = batch
-        stats.transport = pool.transport
-        spool: Optional[PayloadSpool] = None
+        stats.transport = "pipe"
         try:
-            descs, spool = _spool_payloads(
-                payloads, plan.spool_threshold, stats
-            )
-            return _run_pool(lease, fn, payloads, descs, plan, batch,
-                             budget, stats)
-        except (KeyboardInterrupt, SystemExit):
-            # Ctrl-C (or a hard exit request) mid-sweep: kill the
-            # workers outright — they may be mid-cell and will never
-            # see a poison pill — close every pipe, and let the
-            # interrupt propagate.
-            pool.kill()
-            raise
+            return _run_pool(lease, fn, payloads, plan, batch, budget, stats)
         except BaseException:
-            # Any other escape leaves workers with undelivered batches
-            # and unread pipes; a shared pool in that state would
-            # poison the next sweep, so tear it down too.
+            # Ctrl-C, a hard exit request, or any other escape leaves
+            # workers mid-cell with undelivered batches and unread
+            # pipes; they will never see a poison pill, and a shared
+            # pool in that state would poison the next sweep.  Kill the
+            # workers outright, close every pipe, and let it propagate.
             pool.kill()
             raise
         finally:
-            if spool is not None:
-                spool.close()
             if not shared:
                 pool.shutdown()
 
 
-def run_sweep(
-    fn: Callable[[Any], Any],
-    payloads: Sequence[Any],
-    max_workers: Optional[int] = None,
-    timeout_s: Optional[float] = None,
-    tasks_per_worker: Optional[int] = None,
-    retries: int = 1,
-) -> List[RunOutcome]:
-    """Deprecated entry point; builds a :class:`SweepPlan` and runs it.
-
-    Kept as a byte-identical shim over
-    ``Executor(SweepPlan(...)).run(fn, payloads)`` so external callers
-    migrate at their own pace; it emits a single-shot
-    :class:`DeprecationWarning` per process and will be removed in a
-    later release (``tests/test_parallel_executor.py`` pins the shim's
-    equivalence until then).
-    """
-    global _RUN_SWEEP_WARNED
-    if not _RUN_SWEEP_WARNED:
-        _RUN_SWEEP_WARNED = True
-        warnings.warn(
-            "repro.parallel.run_sweep is deprecated; use"
-            " Executor(SweepPlan(...)).run(fn, payloads) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-    plan = SweepPlan(
-        max_workers=max_workers,
-        timeout_s=timeout_s,
-        tasks_per_worker=tasks_per_worker,
-        retries=retries,
-    )
-    return Executor(plan).run(fn, payloads)
-
-
-_RUN_SWEEP_WARNED = False
-
-
 def _run_pool(
     lease: PoolLease, fn: Callable[[Any], Any], payloads: Sequence[Any],
-    descs: Sequence[tuple], plan: SweepPlan, batch_cap: int,
-    budget: Optional[int], stats: SweepStats,
+    plan: SweepPlan, batch_cap: int, budget: Optional[int],
+    stats: SweepStats,
 ) -> List[RunOutcome]:
     outcomes: List[Optional[RunOutcome]] = [None] * len(payloads)
     next_index = 0
@@ -576,7 +449,7 @@ def _run_pool(
             ready = next((r for r in retry_queue if r[0] <= now), None)
             if ready is not None:
                 retry_queue.remove(ready)
-                lease.assign(worker, fn, [ready[1]], descs, timeout_s)
+                lease.assign(worker, fn, [ready[1]], payloads, timeout_s)
                 continue
             room = batch_cap
             if budget is not None:
@@ -588,7 +461,7 @@ def _run_pool(
                 indices.append(next_index)
                 next_index += 1
             if indices:
-                lease.assign(worker, fn, indices, descs, timeout_s)
+                lease.assign(worker, fn, indices, payloads, timeout_s)
         stats.dispatch_s += time.monotonic() - t0
 
     def fail(worker, index: int, status: str, error: str) -> None:
@@ -624,7 +497,7 @@ def _run_pool(
     def record(worker, message: tuple) -> None:
         """Fold one worker message into outcomes and bookkeeping."""
         nonlocal completed
-        status, ordinal, index, desc, error, compute_s = message
+        status, ordinal, index, value, error, compute_s = message
         if status == "retired":
             # The worker hit its recycling budget: replace it with a
             # fresh process.  (Batches never straddle the budget, so a
@@ -636,15 +509,6 @@ def _run_pool(
         t0 = time.monotonic()
         stats.compute_s += compute_s
         if index is not None and outcomes[index] is None:
-            value = None
-            if status == "ok":
-                kind = desc[0]
-                if kind == "shm":
-                    value = lease.read_segment(worker, desc[1], desc[2])
-                else:
-                    value = desc[1]
-                    if worker.shm is not None:
-                        stats.shm_spills += 1
             outcomes[index] = RunOutcome(
                 index=index, status=status, value=value, error=error,
                 elapsed_s=time.monotonic() - worker.cell_started,

@@ -9,26 +9,22 @@ shard, and every chaos soak in the same process.  A
 * **Function-per-batch protocol.**  Workers no longer bind the sweep
   callable at fork time; each batch message carries the callable
   (pickled by reference — it must stay a module-level function) along
-  with its cells, so one pool serves ``run_experiment`` cells, fleet
-  records, chaos seeds, and fuzz scenarios back to back.
+  with its ``(index, payload)`` cells, so one pool serves
+  ``run_experiment`` cells, fleet records, chaos seeds, and fuzz
+  scenarios back to back.
 * **Leases.**  A run asks for ``lease(n)`` and operates on the first
   ``n`` workers; the pool may hold more (sized once for the largest
   stage).  Replacements for crashed/retired workers happen through the
   lease so both views stay consistent.
-* **Spool-aware payload descriptors.**  A cell's payload crosses the
-  pipe either inline (``("inline", payload)``) or as a
-  ``("spool", path, offset, length)`` reference into an mmap'd spool
-  file (:mod:`repro.parallel.spool`) the worker slices lazily.
 * **Lifecycle.**  ``shutdown()`` drains gracefully (poison pills),
   ``kill()`` tears down immediately (the Ctrl-C path), both are
   idempotent, and the pool registers an :mod:`atexit` ``kill`` so a
-  process that exits with a live pool leaves no orphan processes,
-  pipes, or ``/dev/shm`` segments behind.  ``with WorkerPool(...)``
-  shuts down on exit.
+  process that exits with a live pool leaves no orphan processes or
+  pipes behind.  ``with WorkerPool(...)`` shuts down on exit.
 
 Everything the old per-run pool promised still holds: one duplex pipe
-per worker (a dead worker reads as EOF, never a wedged queue), results
-via per-worker shared-memory segments with inline spill, recycling via
+per worker (a dead worker reads as EOF, never a wedged queue) that
+carries payloads out and pickled results back, recycling via
 ``tasks_per_worker``, and completions that arrive strictly in batch
 order so crash attribution stays per-cell.
 """
@@ -38,14 +34,11 @@ from __future__ import annotations
 import atexit
 import multiprocessing
 import os
-import pickle
 import time
 import traceback
 from dataclasses import dataclass, field
 from multiprocessing import connection
 from typing import Any, Callable, List, Optional, Sequence, Tuple
-
-from repro.parallel.spool import SpoolReader
 
 #: Default worker-count cap when ``max_workers`` is None: enough to
 #: cover the experiment sweeps without oversubscribing small machines.
@@ -53,11 +46,6 @@ DEFAULT_WORKER_CAP = 4
 
 #: How long the parent waits for worker messages per poll, seconds.
 _POLL_S = 0.02
-
-#: Size of each worker's shared-memory result segment.  Large enough
-#: for any experiment record batch; results that do not fit spill to
-#: inline pipe transport per cell.
-_SEGMENT_BYTES = 1 << 23
 
 
 def resolve_workers(max_workers: Optional[int]) -> int:
@@ -71,34 +59,13 @@ def resolve_workers(max_workers: Optional[int]) -> int:
     return max(1, int(max_workers))
 
 
-def shm_available() -> bool:
-    """Shared-memory transport needs fork (segments are inherited)."""
-    if multiprocessing.get_start_method(allow_none=False) != "fork":
-        return False
-    try:
-        from multiprocessing import shared_memory  # noqa: F401
-    except ImportError:  # pragma: no cover - ancient python
-        return False
-    return True
-
-
 # --- worker side -----------------------------------------------------------
 
 
-def _resolve_payload(desc: tuple, reader: SpoolReader) -> Any:
-    """Turn one payload descriptor back into the payload object."""
-    if desc[0] == "spool":
-        return pickle.loads(reader.read(desc[1], desc[2], desc[3]))
-    return desc[1]
-
-
-def _worker_main(worker_id: int, conn, tasks_per_worker: Optional[int],
-                 shm) -> None:
+def _worker_main(worker_id: int, conn,
+                 tasks_per_worker: Optional[int]) -> None:
     """Run cell batches from the pipe until retired, poisoned, or crashed."""
     done = 0
-    buf = shm.buf if shm is not None else None
-    capacity = len(buf) if buf is not None else 0
-    reader = SpoolReader()
     while True:
         try:
             batch = conn.recv()
@@ -113,30 +80,12 @@ def _worker_main(worker_id: int, conn, tasks_per_worker: Optional[int],
         if batch is None:
             return
         fn, cells = batch
-        # The parent has consumed every result of the previous batch
-        # before assigning this one (the assignment is the ack), so the
-        # segment is free to reuse from the top.
-        offset = 0
-        for index, desc in cells:
+        for index, payload in cells:
             started = time.perf_counter()
             try:
-                payload = _resolve_payload(desc, reader)
                 value = fn(payload)
-                compute_s = time.perf_counter() - started
-                if buf is not None:
-                    blob = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-                    size = len(blob)
-                    if offset + size <= capacity:
-                        buf[offset:offset + size] = blob
-                        message = ("ok", worker_id, index,
-                                   ("shm", offset, size), None, compute_s)
-                        offset += size
-                    else:
-                        message = ("ok", worker_id, index,
-                                   ("inline", value), None, compute_s)
-                else:
-                    message = ("ok", worker_id, index,
-                               ("inline", value), None, compute_s)
+                message = ("ok", worker_id, index, value, None,
+                           time.perf_counter() - started)
             except BaseException:
                 message = ("error", worker_id, index, None,
                            traceback.format_exc(),
@@ -168,8 +117,6 @@ class _Worker:
     ordinal: int
     process: Any
     conn: Any
-    #: The worker's shared-memory segment, or None on pipe transport.
-    shm: Any = None
     #: Indices of the assigned batch still awaiting completion, in the
     #: order the worker runs them (completions arrive in this order).
     pending: List[int] = field(default_factory=list)
@@ -185,25 +132,12 @@ class _Worker:
         return self.pending[0] if self.pending else None
 
 
-def _release_segment(shm) -> None:
-    """Close and unlink one shared segment; tolerates double release."""
-    if shm is None:
-        return
-    try:
-        shm.close()
-        shm.unlink()
-    except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-        pass
-
-
 class WorkerPool:
     """A set of worker processes that outlives any single sweep.
 
     ``max_workers`` bounds the pool (``None`` = the auto cap); workers
     spawn lazily as leases demand them, so a pool constructed for the
-    largest stage costs nothing until used.  ``transport="shm"``
-    degrades to ``"pipe"`` wholesale on platforms without fork or
-    shared memory.
+    largest stage costs nothing until used.
 
     ``tasks_per_worker`` is a *pool* property: a worker's recycling
     budget counts every cell it has run across all the sweeps the pool
@@ -215,17 +149,14 @@ class WorkerPool:
         self,
         max_workers: Optional[int] = None,
         tasks_per_worker: Optional[int] = None,
-        transport: str = "shm",
-        segment_bytes: int = _SEGMENT_BYTES,
+        transport: str = "pipe",
     ):
-        if transport not in ("shm", "pipe"):
-            raise ValueError(
-                f"transport must be 'shm' or 'pipe', got {transport!r}"
-            )
+        # The pipe is the only transport; the keyword survives because
+        # the perfbench ``sweep`` workload still passes transport="pipe".
+        if transport != "pipe":
+            raise ValueError(f"transport must be 'pipe', got {transport!r}")
         self.size = resolve_workers(max_workers)
         self.tasks_per_worker = tasks_per_worker
-        self.transport = transport if shm_available() else "pipe"
-        self._segment_bytes = segment_bytes
         self._ctx = multiprocessing.get_context()
         self._next_ordinal = 0
         self._dead = False
@@ -235,9 +166,8 @@ class WorkerPool:
         #: Worker processes spawned over the pool's lifetime.
         self.forks = 0
         # A pool abandoned without shutdown() (or killed by Ctrl-C
-        # outside a sweep) must not strand processes or /dev/shm
-        # segments; kill() is idempotent so a clean shutdown makes
-        # this a no-op.
+        # outside a sweep) must not strand processes; kill() is
+        # idempotent so a clean shutdown makes this a no-op.
         atexit.register(self.kill)
 
     # -- lifecycle ----------------------------------------------------------
@@ -245,10 +175,10 @@ class WorkerPool:
     def ensure(self, n: int) -> None:
         """Spawn workers until ``min(n, size)`` exist.
 
-        Raises ``OSError``/``ValueError`` when the platform cannot
-        create processes; whatever was spawned before the failure stays
-        usable (callers may retry with a smaller lease or fall back to
-        serial).
+        Raises ``ValueError`` once the pool is shut down, and
+        ``OSError`` when the platform cannot create processes; whatever
+        was spawned before such a failure stays usable (callers may
+        retry with a smaller lease or fall back to serial).
         """
         if self._dead:
             raise ValueError("pool is shut down")
@@ -273,23 +203,15 @@ class WorkerPool:
     def _spawn(self) -> _Worker:
         ordinal = self._next_ordinal
         self._next_ordinal += 1
-        shm = None
-        if self.transport == "shm":
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(
-                create=True, size=self._segment_bytes
-            )
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         try:
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(ordinal, child_conn, self.tasks_per_worker, shm),
+                args=(ordinal, child_conn, self.tasks_per_worker),
                 daemon=True,
             )
             process.start()
         except BaseException:
-            _release_segment(shm)
             parent_conn.close()
             child_conn.close()
             raise
@@ -297,8 +219,7 @@ class WorkerPool:
         # EOF here instead of a half-open pipe.
         child_conn.close()
         self.forks += 1
-        return _Worker(ordinal=ordinal, process=process, conn=parent_conn,
-                       shm=shm)
+        return _Worker(ordinal=ordinal, process=process, conn=parent_conn)
 
     def replace(self, worker: _Worker) -> _Worker:
         """Kill a worker (timeout/crash/retired) and refill its slot."""
@@ -306,7 +227,6 @@ class WorkerPool:
             worker.process.terminate()
         worker.process.join(timeout=5)
         worker.conn.close()
-        _release_segment(worker.shm)
         slot = self.workers.index(worker)
         fresh = self._spawn()
         self.workers[slot] = fresh
@@ -329,16 +249,15 @@ class WorkerPool:
                 worker.process.terminate()
                 worker.process.join(timeout=2)
             worker.conn.close()
-            _release_segment(worker.shm)
 
     def kill(self) -> None:
         """Tear the pool down *now*: no poison pills, no graceful drain.
 
         The interrupt path.  Terminate every worker (no matter what it
-        is running), join briefly, close every pipe, and unlink every
-        shared segment, so a Ctrl-C'd sweep leaves no orphan processes,
-        leaked file descriptors, or stale ``/dev/shm`` entries behind.
-        Idempotent, and makes any later :meth:`shutdown` a no-op.
+        is running), join briefly, and close every pipe, so a Ctrl-C'd
+        sweep leaves no orphan processes or leaked file descriptors
+        behind.  Idempotent, and makes any later :meth:`shutdown` a
+        no-op.
         """
         if self._dead:
             return
@@ -356,7 +275,6 @@ class WorkerPool:
                 worker.conn.close()
             except OSError:  # pragma: no cover - already closed
                 pass
-            _release_segment(worker.shm)
 
     @property
     def closed(self) -> bool:
@@ -385,19 +303,15 @@ class PoolLease:
     def tasks_per_worker(self) -> Optional[int]:
         return self._pool.tasks_per_worker
 
-    @property
-    def transport(self) -> str:
-        return self._pool.transport
-
     def assign(self, worker: _Worker, fn: Callable[[Any], Any],
-               indices: List[int], descs: Sequence[tuple],
+               indices: List[int], payloads: Sequence[Any],
                timeout_s: Optional[float]) -> None:
         worker.pending = list(indices)
         worker.cell_started = time.monotonic()
         worker.deadline = (
             worker.cell_started + timeout_s if timeout_s is not None else None
         )
-        worker.conn.send((fn, [(i, descs[i]) for i in indices]))
+        worker.conn.send((fn, [(i, payloads[i]) for i in indices]))
 
     def poll(self) -> List[Tuple[_Worker, Optional[tuple]]]:
         """(worker, message) for every leased worker with news.
@@ -429,7 +343,3 @@ class PoolLease:
         slot = self.workers.index(worker)
         self.workers[slot] = fresh
         return fresh
-
-    def read_segment(self, worker: _Worker, offset: int, size: int) -> Any:
-        """Decode one result from the worker's shared segment."""
-        return pickle.loads(bytes(worker.shm.buf[offset:offset + size]))

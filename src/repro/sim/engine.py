@@ -359,36 +359,48 @@ class Engine:
         self._idle = probe
 
     def step(self) -> bool:
-        """Run the next pending event.  Returns False if the queue is empty."""
-        near = self._near
+        """Run the next pending event.  Returns False if the queue is empty.
+
+        One pass of :meth:`run` bounded at the head entry's time with a
+        one-event budget, so daemon events run, the sanitizer fires and
+        nothing is fast-forwarded.  A cancelled or stopped head entry is
+        drained without moving the clock, and the next one is tried.
+        """
         while True:
-            if not near:
-                if not self._far_ids:
-                    return False
-                self._advance_window()
-                continue
-            time, _seq, kind, target, args = heappop(near)
-            if kind == _K_HANDLE:
-                if target.cancelled:
-                    continue
-                self._now = time
-                target.fired = True
-                if not target.daemon:
-                    self._live -= 1
-                target.fn(*target.args)  # simlint: dynamic=engine-dispatch
-            elif kind == _K_TIMER:
-                if target._stopped:
-                    continue
-                self._now = time
-                target._dispatch(time)
-            else:
-                self._now = time
-                if kind == _K_CALL:
-                    self._live -= 1
-                target(*args)  # simlint: dynamic=engine-dispatch
-            if self._san is not None:
-                self._san()  # simlint: dynamic=engine-dispatch
-            return True
+            time = self._peek_time()
+            if time is None:
+                return False
+            now = self._now
+            if self.run(until=time, max_events=1):
+                return True
+            self._now = now
+
+    def _fast_forward(self, timer: "PeriodicTimer", time: int,
+                      until: Optional[int]) -> int:
+        """Elide an idle skip-capable timer's firings; return how many.
+
+        Called with the timer's occurrence at ``time`` already popped.
+        When the idle probe allows it, ``timer._skip_fn(k)`` stands in
+        for the ``k`` occurrences that fit strictly before the next
+        pending event (and at or before ``until``), the timer is re-filed
+        on its period grid, and ``k`` is returned.  Returns 0 when the
+        occurrence must fire normally.
+        """
+        probe = self._idle
+        if probe is None or not probe():  # simlint: dynamic=engine-dispatch
+            return 0
+        bound = self._peek_time()
+        if until is not None and (bound is None or bound > until + 1):
+            bound = until + 1
+        if bound is None or bound <= time:
+            return 0
+        period = timer.period
+        k = (bound - time + period - 1) // period
+        timer._skip_fn(k)
+        seq = self._seq
+        self._seq = seq + 1
+        self._push((time + k * period, seq, _K_TIMER, timer, None))
+        return k
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Drain the event queue.
@@ -428,20 +440,10 @@ class Engine:
                         if target._stopped:
                             continue
                         if target._skip_fn is not None and self._ff:
-                            probe = self._idle
-                            if probe is not None and probe():  # simlint: dynamic=engine-dispatch
-                                bound = self._peek_time()
-                                if bound is not None and bound > time:
-                                    period = target.period
-                                    k = (bound - time + period - 1) // period
-                                    target._skip_fn(k)
-                                    seq = self._seq
-                                    self._seq = seq + 1
-                                    self._push(
-                                        (time + k * period, seq, _K_TIMER, target, None)
-                                    )
-                                    executed += k
-                                    continue
+                            k = self._fast_forward(target, time, None)
+                            if k:
+                                executed += k
+                                continue
                         self._now = time
                         target._dispatch(time)
                         executed += 1
@@ -487,23 +489,10 @@ class Engine:
                 target = entry[3]
                 if kind == _K_TIMER:
                     if ff and target._skip_fn is not None:
-                        probe = self._idle
-                        if probe is not None and probe():  # simlint: dynamic=engine-dispatch
-                            nxt = self._peek_time()
-                            bound = until + 1 if until is not None else None
-                            if nxt is not None and (bound is None or nxt < bound):
-                                bound = nxt
-                            if bound is not None and bound > time:
-                                period = target.period
-                                k = (bound - time + period - 1) // period
-                                target._skip_fn(k)
-                                seq = self._seq
-                                self._seq = seq + 1
-                                self._push(
-                                    (time + k * period, seq, _K_TIMER, target, None)
-                                )
-                                executed += k
-                                continue
+                        k = self._fast_forward(target, time, until)
+                        if k:
+                            executed += k
+                            continue
                     self._now = time
                     target._dispatch(time)
                 elif kind == _K_HANDLE:

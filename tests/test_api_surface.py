@@ -64,7 +64,7 @@ def test_v1_core_names_present():
 
     for name in (
         "SimulationSpec", "FleetSpec", "ScenarioSpec", "SweepPlan",
-        "Executor", "experiment", "run_experiment", "run_sweep",
+        "Executor", "experiment", "run_experiment",
     ):
         assert name in api.__all__
         getattr(api, name)

@@ -1,17 +1,19 @@
-"""Batched dispatch and shared-memory transport contracts.
+"""Batched dispatch over the worker pipes.
 
-The executor redesign (SweepPlan/Executor) must keep every behaviour
-run_sweep promised — deterministic merge order, crash containment,
-retry accounting — while adding batch dispatch and the shm result
-path.  These tests pin the new surface.
+Batching must keep every per-cell promise of the executor —
+deterministic merge order, crash containment, retry accounting — while
+one pipe message carries several cells.  These tests pin that surface.
 """
 
 import os
 
 import pytest
 
-from repro.parallel import Executor, RunOutcome, SweepPlan, SweepStats, values
-from repro.parallel.executor import _auto_batch, _shm_available
+from repro.parallel import Executor, SweepPlan, SweepStats, values
+from repro.parallel.executor import _auto_batch
+
+#: Nine MiB: hundreds of times the largest result an in-tree sweep returns.
+_BIG = 9 << 20
 
 
 def _square(x):
@@ -19,8 +21,7 @@ def _square(x):
 
 
 def _big_result(x):
-    # Far larger than the shm segment (8 MiB): must spill inline.
-    return bytes(9 << 20)
+    return bytes(_BIG)
 
 
 def _crash_on_five(x):
@@ -42,14 +43,16 @@ def test_plan_defaults():
     plan = SweepPlan()
     assert plan.retries == 1
     assert plan.batch_size is None
-    assert plan.transport == "shm"
+    assert plan.timeout_s is None
 
 
 @pytest.mark.parametrize("kwargs", [
     {"retries": -1},
     {"batch_size": 0},
-    {"transport": "carrier-pigeon"},
     {"tasks_per_worker": 0},
+    {"timeout_s": 0},
+    {"timeout_s": -1.0},
+    {"timeout_s": float("nan")},
 ])
 def test_plan_rejects_bad_config(kwargs):
     with pytest.raises(ValueError):
@@ -65,12 +68,9 @@ def test_auto_batch_scales_with_sweep_size():
 # --- batched dispatch -------------------------------------------------------
 
 
-@pytest.mark.parametrize("transport", ["shm", "pipe"])
 @pytest.mark.parametrize("batch_size", [1, 3, 16])
-def test_batched_results_in_submission_order(transport, batch_size):
-    plan = SweepPlan(max_workers=2, batch_size=batch_size,
-                     transport=transport)
-    executor = Executor(plan)
+def test_batched_results_in_submission_order(batch_size):
+    executor = Executor(SweepPlan(max_workers=2, batch_size=batch_size))
     outcomes = executor.run(_square, list(range(23)))
     assert [o.index for o in outcomes] == list(range(23))
     assert values(outcomes) == [i * i for i in range(23)]
@@ -78,31 +78,15 @@ def test_batched_results_in_submission_order(transport, batch_size):
     assert executor.stats.batch_size == batch_size
 
 
-def test_shm_and_pipe_transports_agree():
-    results = {}
-    for transport in ("shm", "pipe"):
-        executor = Executor(SweepPlan(max_workers=2, transport=transport))
-        results[transport] = values(executor.run(_square, list(range(10))))
-    assert results["shm"] == results["pipe"]
-
-
-@pytest.mark.skipif(not _shm_available(), reason="needs fork + shm")
-def test_oversized_result_spills_inline():
+def test_oversized_result_crosses_the_pipe():
+    # Two such results per batch: the worker blocks writing each one
+    # until the parent drains it, and every byte must arrive.
     executor = Executor(SweepPlan(max_workers=2, batch_size=2))
     outcomes = executor.run(_big_result, list(range(3)))
-    assert all(o.ok and len(o.value) == 9 << 20 for o in outcomes)
-    assert executor.stats.shm_spills == 3
-    assert executor.stats.transport == "shm"
-
-
-def test_shm_segments_released():
-    if not os.path.isdir("/dev/shm"):
-        pytest.skip("no /dev/shm on this platform")
-    before = set(os.listdir("/dev/shm"))
-    executor = Executor(SweepPlan(max_workers=2))
-    executor.run(_square, list(range(8)))
-    leaked = set(os.listdir("/dev/shm")) - before
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
+    expected = bytes(_BIG)
+    assert all(o.ok and o.value == expected for o in outcomes)
+    assert executor.stats.transport == "pipe"
+    assert executor.stats.batch_size == 2
 
 
 # --- crash containment within a batch ---------------------------------------
@@ -155,7 +139,7 @@ def test_stats_stage_breakdown_populated():
     assert stats.dispatch_s >= 0 and stats.merge_s >= 0
     payload = stats.to_dict()
     for key in ("dispatch_s", "compute_s", "merge_s", "transport",
-                "batch_size", "shm_spills", "retried_cells"):
+                "batch_size", "retried_cells"):
         assert key in payload
 
 
@@ -182,12 +166,3 @@ def test_batches_never_straddle_recycling_budget():
     # 10 cells / 2 per worker = 5 worker lifetimes; ordinals prove
     # replacement actually happened.
     assert len({o.worker for o in outcomes}) >= 5
-
-
-def test_run_sweep_shim_matches_executor():
-    from repro.parallel import run_sweep
-
-    via_shim = run_sweep(_square, list(range(6)), max_workers=2)
-    via_plan = Executor(SweepPlan(max_workers=2)).run(_square, list(range(6)))
-    assert values(via_shim) == values(via_plan)
-    assert all(isinstance(o, RunOutcome) for o in via_shim)

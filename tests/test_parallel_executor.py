@@ -7,10 +7,11 @@ import pytest
 
 from repro.parallel import (
     DEFAULT_WORKER_CAP,
+    Executor,
     RunOutcome,
     SweepError,
+    SweepPlan,
     resolve_workers,
-    run_sweep,
     values,
 )
 
@@ -53,7 +54,7 @@ def _crash_until_marker(payload):
 
 
 def test_empty_sweep():
-    assert run_sweep(_square, []) == []
+    assert Executor(SweepPlan()).run(_square, []) == []
 
 
 def test_resolve_workers():
@@ -64,14 +65,14 @@ def test_resolve_workers():
 
 
 def test_serial_fallback_preserves_order():
-    outcomes = run_sweep(_square, range(6), max_workers=1)
+    outcomes = Executor(SweepPlan(max_workers=1)).run(_square, range(6))
     assert [o.index for o in outcomes] == list(range(6))
     assert all(o.ok and o.worker == -1 for o in outcomes)
     assert values(outcomes) == [x * x for x in range(6)]
 
 
 def test_serial_fallback_reports_errors():
-    outcomes = run_sweep(_fail_on_three, range(5), max_workers=1)
+    outcomes = Executor(SweepPlan(max_workers=1)).run(_fail_on_three, range(5))
     assert [o.status for o in outcomes] == ["ok", "ok", "ok", "error", "ok"]
     assert "three is right out" in outcomes[3].error
     with pytest.raises(SweepError, match="cell 3 error"):
@@ -79,20 +80,20 @@ def test_serial_fallback_reports_errors():
 
 
 def test_parallel_results_merge_in_submission_order():
-    outcomes = run_sweep(_square, range(8), max_workers=2)
+    outcomes = Executor(SweepPlan(max_workers=2)).run(_square, range(8))
     assert [o.index for o in outcomes] == list(range(8))
     assert values(outcomes) == [x * x for x in range(8)]
     assert all(o.worker >= 0 for o in outcomes)
 
 
 def test_parallel_error_is_contained_to_its_cell():
-    outcomes = run_sweep(_fail_on_three, range(5), max_workers=2)
+    outcomes = Executor(SweepPlan(max_workers=2)).run(_fail_on_three, range(5))
     assert [o.status for o in outcomes] == ["ok", "ok", "ok", "error", "ok"]
     assert "ValueError" in outcomes[3].error
 
 
 def test_worker_crash_is_contained_to_its_cell():
-    outcomes = run_sweep(_crash_on_two, range(5), max_workers=2)
+    outcomes = Executor(SweepPlan(max_workers=2)).run(_crash_on_two, range(5))
     assert outcomes[2].status == "crashed"
     assert "died" in outcomes[2].error
     # The default single retry was spent before giving up (the cell
@@ -111,7 +112,9 @@ def test_transient_crash_is_healed_by_retry(tmp_path):
         (None, 2),
         (str(tmp_path / "m3"), 3),
     ]
-    outcomes = run_sweep(_crash_until_marker, payloads, max_workers=2)
+    outcomes = Executor(SweepPlan(max_workers=2)).run(
+        _crash_until_marker, payloads
+    )
     assert all(o.ok for o in outcomes)
     assert [o.value for o in outcomes] == [0, 10, 20, 30]
     assert [o.retries for o in outcomes] == [0, 1, 0, 1]
@@ -127,8 +130,8 @@ def _slow_until_marker(payload):
 
 def test_transient_timeout_is_healed_by_retry(tmp_path):
     payloads = [(None, 0), (str(tmp_path / "slow"), 1), (None, 2)]
-    outcomes = run_sweep(
-        _slow_until_marker, payloads, max_workers=2, timeout_s=1.0
+    outcomes = Executor(SweepPlan(max_workers=2, timeout_s=1.0)).run(
+        _slow_until_marker, payloads
     )
     assert all(o.ok for o in outcomes)
     assert [o.value for o in outcomes] == [0, 1, 2]
@@ -136,28 +139,31 @@ def test_transient_timeout_is_healed_by_retry(tmp_path):
 
 
 def test_retries_zero_restores_fail_fast():
-    outcomes = run_sweep(_crash_on_two, range(5), max_workers=2, retries=0)
+    outcomes = Executor(SweepPlan(max_workers=2, retries=0)).run(
+        _crash_on_two, range(5)
+    )
     assert outcomes[2].status == "crashed"
     assert outcomes[2].retries == 0
 
 
 def test_negative_retries_is_rejected():
     with pytest.raises(ValueError, match="retries"):
-        run_sweep(_square, range(2), max_workers=2, retries=-1)
+        Executor(SweepPlan(max_workers=2, retries=-1)).run(_square, range(2))
 
 
 def test_deterministic_errors_are_never_retried(tmp_path):
     # A raising callable must not burn retries: the failure would just
     # repeat, and the traceback is the diagnostic the caller wants.
-    outcomes = run_sweep(_fail_on_three, range(5), max_workers=2, retries=3)
+    outcomes = Executor(SweepPlan(max_workers=2, retries=3)).run(
+        _fail_on_three, range(5)
+    )
     assert outcomes[3].status == "error"
     assert outcomes[3].retries == 0
 
 
 def test_per_run_timeout_kills_only_the_slow_cell():
-    outcomes = run_sweep(
-        _sleep_on_one, range(4), max_workers=2, timeout_s=1.0, retries=0
-    )
+    plan = SweepPlan(max_workers=2, timeout_s=1.0, retries=0)
+    outcomes = Executor(plan).run(_sleep_on_one, range(4))
     assert outcomes[1].status == "timeout"
     assert outcomes[1].retries == 0
     others = [o for o in outcomes if o.index != 1]
@@ -166,7 +172,9 @@ def test_per_run_timeout_kills_only_the_slow_cell():
 
 
 def test_worker_recycling_spawns_fresh_processes():
-    outcomes = run_sweep(_square, range(4), max_workers=2, tasks_per_worker=1)
+    outcomes = Executor(SweepPlan(max_workers=2, tasks_per_worker=1)).run(
+        _square, range(4)
+    )
     assert values(outcomes) == [0, 1, 4, 9]
     # Each worker retires after one cell, so no ordinal repeats.
     ordinals = [o.worker for o in outcomes]
@@ -176,43 +184,6 @@ def test_worker_recycling_spawns_fresh_processes():
 def test_values_passthrough_on_success():
     outcomes = [RunOutcome(index=0, status="ok", value="a")]
     assert values(outcomes) == ["a"]
-
-
-# --- the run_sweep deprecation shim ------------------------------------------
-
-
-def test_run_sweep_emits_a_single_shot_deprecation_warning(monkeypatch):
-    import warnings
-
-    import repro.parallel.executor as executor
-
-    monkeypatch.setattr(executor, "_RUN_SWEEP_WARNED", False)
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        run_sweep(_square, [1], max_workers=1)
-        run_sweep(_square, [1], max_workers=1)
-    deprecations = [w for w in caught
-                    if issubclass(w.category, DeprecationWarning)]
-    assert len(deprecations) == 1
-    assert "Executor" in str(deprecations[0].message)
-
-
-def test_run_sweep_stays_byte_identical_to_executor_run():
-    # The shim exists so external callers migrate at their own pace; it
-    # must stay a pure alias of Executor.run until it is dropped.
-    from repro.parallel import Executor, SweepPlan
-
-    for kwargs in (
-        {"max_workers": 1},
-        {"max_workers": 2},
-        {"max_workers": 2, "timeout_s": 30.0, "tasks_per_worker": 2,
-         "retries": 0},
-    ):
-        shim = run_sweep(_square, range(6), **kwargs)
-        direct = Executor(SweepPlan(**kwargs)).run(_square, range(6))
-        assert [(o.index, o.status, o.value) for o in shim] == \
-               [(o.index, o.status, o.value) for o in direct]
-        assert values(shim) == values(direct)
 
 
 # --- interrupt hygiene -------------------------------------------------------
@@ -226,7 +197,7 @@ def test_inprocess_interrupt_propagates():
     # workers<=1 runs cells in-process: a Ctrl-C during a cell must
     # reach the caller, not be swallowed into an "error" outcome.
     with pytest.raises(KeyboardInterrupt):
-        run_sweep(_interrupt, range(3), max_workers=1)
+        Executor(SweepPlan(max_workers=1)).run(_interrupt, range(3))
 
 
 def test_pool_kill_reaps_workers_and_closes_pipes():
@@ -269,7 +240,7 @@ def test_interrupt_mid_sweep_kills_the_pool(monkeypatch):
 
     monkeypatch.setattr(executor, "WorkerPool", _Spy)
     with pytest.raises(KeyboardInterrupt):
-        run_sweep(_sleep_on_one, [1, 1, 1, 1], max_workers=2)
+        Executor(SweepPlan(max_workers=2)).run(_sleep_on_one, [1, 1, 1, 1])
     pool = captured["pool"]
     assert all(not w.process.is_alive() for w in pool.workers)
     assert all(w.conn.closed for w in pool.workers)
@@ -292,7 +263,7 @@ def test_sigint_mid_sweep_leaves_no_orphans(tmp_path):
         import sys
         import time
 
-        from repro.parallel import run_sweep
+        from repro.parallel import Executor, SweepPlan
 
         def slow(x):
             time.sleep(60)
@@ -301,7 +272,7 @@ def test_sigint_mid_sweep_leaves_no_orphans(tmp_path):
         if __name__ == "__main__":
             print("ready", flush=True)
             try:
-                run_sweep(slow, [1, 2, 3, 4], max_workers=2)
+                Executor(SweepPlan(max_workers=2)).run(slow, [1, 2, 3, 4])
             except KeyboardInterrupt:
                 leftover = [p for p in multiprocessing.active_children()
                             if p.is_alive()]

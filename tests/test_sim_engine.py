@@ -185,6 +185,39 @@ class TestRun:
     def test_step_on_empty_queue_returns_false(self):
         assert Engine().step() is False
 
+    def test_step_fires_daemon_timers_one_at_a_time(self):
+        # The idle probe and skip_fn would let run() elide the ticks
+        # before t=100; step() fires each occurrence instead.
+        eng = Engine()
+        fired, skipped = [], []
+        eng.set_idle_probe(lambda: True)
+        eng.every(10, lambda: fired.append(eng.now), skip_fn=skipped.append)
+        eng.after(100, lambda: None)
+        assert eng.step() is True
+        assert eng.step() is True
+        assert fired == [10, 20]
+        assert skipped == []
+
+    def test_step_calls_the_sanitizer(self):
+        eng = Engine()
+        checks = []
+        eng.set_sanitizer(lambda: checks.append(eng.now))
+        eng.after(5, lambda: None)
+        assert eng.step() is True
+        assert checks == [5]
+
+    def test_step_drains_cancelled_events_without_moving_the_clock(self):
+        eng = Engine()
+        seen = []
+        eng.after(5, seen.append, "dead").cancel()
+        eng.after(9, seen.append, "live")
+        assert eng.step() is True
+        assert seen == ["live"]
+        assert eng.now == 9
+        eng.after(1, seen.append, "late").cancel()
+        assert eng.step() is False
+        assert eng.now == 9
+
     def test_pending_counts_uncancelled(self):
         eng = Engine()
         eng.after(1, lambda: None)
