@@ -16,13 +16,15 @@ class DiskOp(enum.Enum):
 _request_ids = itertools.count(1)
 
 
-@dataclass
+@dataclass(eq=False)
 class DiskRequest:
     """One I/O request: a contiguous run of sectors for one SPU.
 
     Timing fields are filled in by the drive as the request moves
     through the queue; they are the raw material for the paper's
     "response time / average wait time / average latency" columns.
+    Requests compare by identity, so removing one from a queue does not
+    compare every field of the requests ahead of it.
     """
 
     spu_id: int

@@ -10,7 +10,6 @@ recharged to the ``shared`` SPU (Section 2.2 / 3.2).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.core.spu import SHARED_SPU_ID
@@ -76,23 +75,33 @@ class UnlimitedPageProvider:
 BlockKey = Tuple[int, int]  # (file_id, logical block number)
 
 
-@dataclass
 class CacheBlock:
     """One page-sized cached file block."""
 
-    file_id: int
-    block: int
-    spu_charged: int
-    dirty: bool = False
-    #: Monotonic access stamp for LRU.
-    last_access: int = 0
-    #: Dirtying time, for writeback ordering.
-    dirty_since: int = -1
-    #: Pinned while an I/O is in flight on the block.
-    pinned: bool = False
-    #: Bumped on every write so an in-flight flush can tell whether the
-    #: block was re-dirtied while its write was on the wire.
-    epoch: int = 0
+    __slots__ = ("file_id", "block", "spu_charged", "dirty", "dirty_since",
+                 "pinned", "epoch")
+
+    def __init__(
+        self,
+        file_id: int,
+        block: int,
+        spu_charged: int,
+        dirty: bool = False,
+        dirty_since: int = -1,
+        pinned: bool = False,
+        epoch: int = 0,
+    ):
+        self.file_id = file_id
+        self.block = block
+        self.spu_charged = spu_charged
+        self.dirty = dirty
+        #: Dirtying time, for writeback ordering.
+        self.dirty_since = dirty_since
+        #: Pinned while an I/O is in flight on the block.
+        self.pinned = pinned
+        #: Bumped on every write so an in-flight flush can tell whether
+        #: the block was re-dirtied while its write was on the wire.
+        self.epoch = epoch
 
     @property
     def key(self) -> BlockKey:
@@ -100,40 +109,51 @@ class CacheBlock:
 
 
 # One BufferCache per kernel; the per-block hot state is CacheBlock
-# (a compact dataclass), not the cache object itself.
+# (a slotted class), not the cache object itself.
 class BufferCache:  # simlint: disable=SL401
-    """Page-granularity file cache with per-SPU charging and LRU eviction."""
+    """Page-granularity file cache with per-SPU charging and LRU eviction.
+
+    Dict insertion order is the LRU order: ``blocks`` and each SPU's
+    dict in ``_by_spu`` hold the least recently touched block first,
+    and a hit moves its block to the end of both.  Dirty and pinned
+    blocks keep their place; eviction walks past them to the first
+    block that is neither.
+    """
 
     def __init__(self, provider: PageProvider):
         self.provider = provider
         self.blocks: Dict[BlockKey, CacheBlock] = {}
-        self._clock = 0
+        #: ``blocks`` split by charged SPU, each in ``blocks`` order.
+        self._by_spu: Dict[int, Dict[BlockKey, CacheBlock]] = {}
+        #: The dirty blocks, in no particular order.
+        self._dirty: Dict[BlockKey, CacheBlock] = {}
         #: Counters for hit-ratio reporting.
         self.hits = 0
         self.misses = 0
 
-    def _tick(self) -> int:
-        self._clock += 1
-        return self._clock
-
     # --- lookup -----------------------------------------------------------
 
     def lookup(self, key: BlockKey, spu_id: int) -> Optional[CacheBlock]:
-        """Find a block; updates LRU stamp and shared-page charging.
+        """Find a block; makes it most recent and updates shared charging.
 
         On access by an SPU other than the one charged, the block is
         recharged to the ``shared`` SPU (first touch marks the page with
         the accessor's SPU; a second SPU's touch makes it shared).
         """
-        block = self.blocks.get(key)
+        block = self.blocks.pop(key, None)
         if block is None:
             self.misses += 1
             return None
         self.hits += 1
-        block.last_access = self._tick()
-        if block.spu_charged not in (spu_id, SHARED_SPU_ID):
-            if self.provider.transfer(block.spu_charged, SHARED_SPU_ID):
+        self.blocks[key] = block
+        charged = block.spu_charged
+        owned = self._by_spu[charged]
+        del owned[key]
+        if charged not in (spu_id, SHARED_SPU_ID):
+            if self.provider.transfer(charged, SHARED_SPU_ID):
                 block.spu_charged = SHARED_SPU_ID
+                owned = self._by_spu.setdefault(SHARED_SPU_ID, {})
+        owned[key] = block
         return block
 
     def contains(self, key: BlockKey) -> bool:
@@ -156,15 +176,11 @@ class BufferCache:  # simlint: disable=SL401
             if not (self._evict_clean(spu_id) and self.provider.try_allocate(spu_id)):
                 if not (self._evict_clean(None) and self.provider.try_allocate(spu_id)):
                     return None
-        block = CacheBlock(
-            file_id=key[0],
-            block=key[1],
-            spu_charged=spu_id,
-            dirty=dirty,
-            last_access=self._tick(),
-            dirty_since=now if dirty else -1,
-        )
+        block = CacheBlock(key[0], key[1], spu_id, dirty, now if dirty else -1)
         self.blocks[key] = block
+        self._by_spu.setdefault(spu_id, {})[key] = block
+        if dirty:
+            self._dirty[key] = block
         return block
 
     def evict_clean(self, spu_id: Optional[int] = None) -> bool:
@@ -174,21 +190,18 @@ class BufferCache:  # simlint: disable=SL401
 
     def _evict_clean(self, spu_id: Optional[int]) -> bool:
         """Evict the LRU clean, unpinned block (optionally one SPU's)."""
-        candidates = [
-            b
-            for b in self.blocks.values()
-            if not b.dirty and not b.pinned
-            and (spu_id is None or b.spu_charged == spu_id)
-        ]
-        if not candidates:
-            return False
-        victim = min(candidates, key=lambda b: (b.last_access, b.file_id, b.block))
-        self.remove(victim.key)
-        return True
+        order = self.blocks if spu_id is None else self._by_spu.get(spu_id, {})
+        for key, block in order.items():
+            if not block.dirty and not block.pinned:
+                self.remove(key)
+                return True
+        return False
 
     def remove(self, key: BlockKey) -> None:
         """Drop a block and return its page to the provider."""
         block = self.blocks.pop(key)
+        del self._by_spu[block.spu_charged][key]
+        self._dirty.pop(key, None)
         self.provider.free(block.spu_charged)
 
     # --- dirty management ------------------------------------------------------
@@ -199,28 +212,48 @@ class BufferCache:  # simlint: disable=SL401
         if not block.dirty:
             block.dirty = True
             block.dirty_since = now
+            self._dirty[key] = block
 
     def mark_clean(self, key: BlockKey) -> None:
         block = self.blocks[key]
         block.dirty = False
         block.dirty_since = -1
+        self._dirty.pop(key, None)
 
     def dirty_blocks(self, spu_id: Optional[int] = None) -> List[CacheBlock]:
         """Dirty, unpinned blocks (optionally only one SPU's), oldest first."""
         out = [
             b
-            for b in self.blocks.values()
-            if b.dirty and not b.pinned
-            and (spu_id is None or b.spu_charged == spu_id)
+            for b in self._dirty.values()
+            if not b.pinned and (spu_id is None or b.spu_charged == spu_id)
         ]
         out.sort(key=lambda b: (b.dirty_since, b.file_id, b.block))
         return out
 
     def dirty_count(self) -> int:
-        return sum(1 for b in self.blocks.values() if b.dirty)
+        return len(self._dirty)
 
     def size(self) -> int:
         return len(self.blocks)
+
+    def index_drift(self) -> Optional[str]:
+        """Where the indexes disagree with ``blocks``; ``None`` if nowhere.
+
+        Each SPU's dict must be exactly its charged blocks in ``blocks``
+        order, and ``_dirty`` exactly the dirty blocks.  SIMSAN's
+        ``cache-index`` law calls this after events.
+        """
+        expected: Dict[int, List[BlockKey]] = {}
+        for key, block in self.blocks.items():
+            expected.setdefault(block.spu_charged, []).append(key)
+        for spu_id in sorted(expected.keys() | self._by_spu.keys()):
+            if list(self._by_spu.get(spu_id, ())) != expected.get(spu_id, []):
+                return f"SPU {spu_id}'s LRU dict is not its blocks in LRU order"
+        dirty = {key for key, block in self.blocks.items() if block.dirty}
+        stray = sorted(dirty ^ self._dirty.keys())
+        if stray:
+            return f"dirty index disagrees with block {stray[0]}'s dirty flag"
+        return None
 
     @property
     def hit_ratio(self) -> float:

@@ -18,6 +18,8 @@ re-derives the kernel's conservation laws after events:
   neither may exceed the capacity the online CPUs actually offered;
 * **disk-bandwidth conservation** — per drive, the sectors charged to
   SPU ledgers equal the sectors moved by successful completions;
+* **cache index** — the buffer cache's per-SPU LRU dicts and its dirty
+  index agree with its blocks;
 * **no negative counters** anywhere in the above.
 
 This complements the periodic :class:`repro.faults.invariants.InvariantWatchdog`:
@@ -185,6 +187,11 @@ class SimSanitizer:
                     f"disk {drive.disk_id}: {charged_sectors} sectors charged"
                     f" != {drive.stats.ok_sectors} moved by successful requests",
                 )
+
+        # Buffer-cache index: the cache re-derives it from its blocks.
+        drift = kernel.fs.cache.index_drift()
+        if drift is not None:
+            self._fail("cache-index", drift)
 
     def _fail(self, law: str, detail: str) -> None:
         raise SanitizerError(

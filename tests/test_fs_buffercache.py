@@ -1,9 +1,10 @@
 """Unit tests for the buffer cache."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core import SHARED_SPU_ID
-from repro.fs import BufferCache, UnlimitedPageProvider
+from repro.fs import BufferCache, CacheBlock, UnlimitedPageProvider
 
 
 @pytest.fixture
@@ -153,3 +154,172 @@ class TestDirtyTracking:
         block = cache.insert((1, 0), 5, dirty=True, now=0)
         block.pinned = True
         assert cache.dirty_blocks() == []
+
+
+class LinearScanCache:
+    """The eviction algorithm the indexed cache replaced, as a test oracle.
+
+    Every touch takes a fresh stamp, and eviction scans every block for
+    the clean, unpinned one with the smallest ``(stamp, file_id, block)``.
+    """
+
+    def __init__(self, provider):
+        self.provider = provider
+        self.blocks = {}
+        self.stamps = {}
+        self.clock = 0
+
+    def _touch(self, key):
+        self.clock += 1
+        self.stamps[key] = self.clock
+
+    def lookup(self, key, spu_id):
+        block = self.blocks.get(key)
+        if block is None:
+            return None
+        self._touch(key)
+        if block.spu_charged not in (spu_id, SHARED_SPU_ID):
+            if self.provider.transfer(block.spu_charged, SHARED_SPU_ID):
+                block.spu_charged = SHARED_SPU_ID
+        return block
+
+    def insert(self, key, spu_id, dirty, now):
+        if key in self.blocks:
+            raise ValueError(f"block {key} already cached")
+        if not self.provider.try_allocate(spu_id):
+            if not (self.evict_clean(spu_id) and self.provider.try_allocate(spu_id)):
+                if not (self.evict_clean(None) and self.provider.try_allocate(spu_id)):
+                    return None
+        block = CacheBlock(key[0], key[1], spu_id, dirty, now if dirty else -1)
+        self.blocks[key] = block
+        self._touch(key)
+        return block
+
+    def evict_clean(self, spu_id=None):
+        candidates = [
+            b for b in self.blocks.values()
+            if not b.dirty and not b.pinned and spu_id in (None, b.spu_charged)
+        ]
+        if not candidates:
+            return False
+        victim = min(candidates, key=lambda b: (self.stamps[b.key], b.file_id, b.block))
+        self.remove(victim.key)
+        return True
+
+    def remove(self, key):
+        block = self.blocks.pop(key)
+        del self.stamps[key]
+        self.provider.free(block.spu_charged)
+
+    def mark_dirty(self, key, now):
+        block = self.blocks[key]
+        block.epoch += 1
+        if not block.dirty:
+            block.dirty = True
+            block.dirty_since = now
+
+    def mark_clean(self, key):
+        block = self.blocks[key]
+        block.dirty = False
+        block.dirty_since = -1
+
+    def dirty_blocks(self, spu_id=None):
+        out = [
+            b for b in self.blocks.values()
+            if b.dirty and not b.pinned and spu_id in (None, b.spu_charged)
+        ]
+        out.sort(key=lambda b: (b.dirty_since, b.file_id, b.block))
+        return out
+
+    def dirty_count(self):
+        return sum(1 for b in self.blocks.values() if b.dirty)
+
+
+USER_SPUS = (2, 3, 4)
+PAGES = 6
+KEYS = [(file_id, block) for file_id in (1, 2) for block in range(4)]
+
+_keys = st.sampled_from(KEYS)
+_spus = st.sampled_from(USER_SPUS)
+_now = st.integers(0, 9)
+_insert = st.tuples(st.just("insert"), _keys, _spus, st.booleans(), _now)
+_lookup = st.tuples(st.just("lookup"), _keys, _spus)
+# Inserts and lookups are weighted up so that the cache fills and evicts.
+OPS = st.one_of(
+    _insert, _insert, _insert, _lookup, _lookup,
+    st.tuples(st.just("mark_dirty"), _keys, _now),
+    st.tuples(st.just("mark_clean"), _keys),
+    st.tuples(st.just("pin"), _keys, st.booleans()),
+    st.tuples(st.just("evict_clean"), st.sampled_from(USER_SPUS + (SHARED_SPU_ID, None))),
+    st.tuples(st.just("remove"), _keys),
+)
+
+
+def _apply(cache, op):
+    """Run one op; returns what it returned, with blocks as their keys."""
+    name, *args = op
+    if name == "pin":
+        key, pinned = args
+        if key in cache.blocks:  # the writeback daemon pins in place
+            cache.blocks[key].pinned = pinned
+        return None
+    try:
+        result = getattr(cache, name)(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc).__name__
+    return result.key if isinstance(result, CacheBlock) else result
+
+
+def _assert_agree(cache, oracle):
+    assert list(cache.blocks) == sorted(oracle.blocks, key=oracle.stamps.__getitem__)
+    for key, block in cache.blocks.items():
+        twin = oracle.blocks[key]
+        assert (block.spu_charged, block.dirty, block.pinned, block.dirty_since) == (
+            twin.spu_charged, twin.dirty, twin.pinned, twin.dirty_since), key
+    for spu_id in (None, SHARED_SPU_ID) + USER_SPUS:
+        assert [b.key for b in cache.dirty_blocks(spu_id)] == [
+            b.key for b in oracle.dirty_blocks(spu_id)], spu_id
+    assert cache.dirty_count() == oracle.dirty_count()
+    assert cache.provider.by_spu == oracle.provider.by_spu
+    assert cache.index_drift() is None
+
+
+def run_differential(ops):
+    """Apply ``ops`` to the indexed cache and the oracle in lock-step."""
+    cache = BufferCache(UnlimitedPageProvider(PAGES))
+    oracle = LinearScanCache(UnlimitedPageProvider(PAGES))
+    for op in ops:
+        assert _apply(cache, op) == _apply(oracle, op), op
+        _assert_agree(cache, oracle)
+    return cache
+
+
+class TestAgainstLinearScan:
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(OPS, min_size=20, max_size=80))
+    def test_random_ops_match_the_linear_scan(self, ops):
+        run_differential(ops)
+
+    def test_block_cleaned_after_a_younger_insert_is_still_the_victim(self):
+        # (1, 0) is written (dirty) before (1, 1) is read in, and its
+        # flush completes after that read: it keeps its older place.
+        cache = run_differential([
+            ("insert", (1, 0), 2, True, 0),
+            ("insert", (1, 1), 2, False, 1),
+            ("mark_clean", (1, 0)),
+            ("evict_clean", 2),
+        ])
+        assert list(cache.blocks) == [(1, 1)]
+
+    def test_global_fallback_evicts_the_oldest_block_across_spus(self):
+        fill = [("insert", (1, 0), 3, False, 0)] + [
+            ("insert", (1, b), 2, False, 0) for b in range(1, PAGES)]
+        # SPU 4 holds nothing, so its insert falls back to the global
+        # LRU block, SPU 3's; then evict_clean(None) takes the next.
+        cache = run_differential(fill + [
+            ("insert", (2, 0), 4, False, 1),
+            ("evict_clean", None),
+        ])
+        assert not cache.contains((1, 0))
+        assert not cache.contains((1, 1))
+        assert cache.contains((1, 2)) and cache.contains((2, 0))

@@ -183,6 +183,16 @@ class TestCorruptionDetection:
         with pytest.raises(SanitizerError, match="disk-conservation"):
             san.check()
 
+    def test_cache_index_drift(self):
+        def mutate(kernel, spu):
+            blocks = list(kernel.fs.cache.blocks.values())
+            assert len(blocks) == 64 and all(b.dirty for b in blocks)
+            blocks[0].dirty = False  # behind mark_clean's back
+
+        san = self.corrupted(mutate, run=True)
+        with pytest.raises(SanitizerError, match="cache-index"):
+            san.check()
+
     def test_mid_run_corruption_raises_from_the_event_loop(self):
         kernel, (spu,) = booted()
         san = SimSanitizer(kernel)
