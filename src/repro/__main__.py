@@ -9,8 +9,6 @@ Subcommands:
 * ``fuzz`` — generative scenario fuzzing with a resumable corpus and
   ddmin-shrunken repro files (``python -m repro fuzz --seed 0
   --count 50 --workers 4``; ``--repro FILE`` replays a repro);
-* ``bench`` — the performance harness that writes
-  ``BENCH_parallel.json`` (``python -m repro bench --quick``);
 * ``fleet`` — the fleet failover smoke gate: a seeded multi-machine
   run with one whole-machine crash, checked for conservation
   violations and serial-vs-parallel byte-identity
@@ -49,10 +47,6 @@ def main(argv: List[str]) -> int:
         from repro.fuzz.__main__ import main as fuzz_main
 
         return fuzz_main(rest)
-    if command == "bench":
-        from repro.bench.__main__ import main as bench_main
-
-        return bench_main(rest)
     if command == "fleet":
         from repro.fleet.__main__ import main as fleet_main
 

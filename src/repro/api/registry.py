@@ -43,7 +43,7 @@ class Experiment:
     fn: Callable[..., Any]
     #: Raw driver output -> human-readable report (the paper table).
     render: Optional[Callable[[Any], str]] = None
-    #: Cheap enough for the --quick bench subset.
+    #: Cheap enough for the quick subset, ``names(quick_only=True)``.
     quick: bool = False
 
     def report(self, data: Any) -> str:

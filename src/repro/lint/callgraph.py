@@ -45,7 +45,7 @@ from repro.lint.summaries import CallEdge
 #: code; they are excluded from CHA candidate sets so host-side
 #: machinery (the executor, the linter itself) cannot leak into
 #: simulation closures through common method names (``get``, ``run``).
-BOUNDARY_PACKAGES: Tuple[str, ...] = ("lint", "parallel", "bench")
+BOUNDARY_PACKAGES: Tuple[str, ...] = ("lint", "parallel")
 
 #: Engine scheduling methods: a repro function passed as an argument
 #: is an *event root* (it will be invoked by the dispatch loop).

@@ -20,7 +20,7 @@ function — feeds three consumers:
 **Taint propagation** follows call edges only (``direct``/``cha``) —
 a function that merely *schedules* a tainted handler is not itself
 tainted; the handler is flagged directly.  Taint never crosses out of
-the boundary packages ({parallel, bench, lint}): host-side code reads
+the boundary packages ({parallel, lint}): host-side code reads
 clocks and environment legitimately, and the executor's byte-identity
 gate — not the linter — guards that seam.  **Closures** follow every
 edge kind plus module imports: a referenced callee's code still runs

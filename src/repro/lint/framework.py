@@ -29,8 +29,8 @@ from repro.lint.finding import Finding, Rule
 
 #: Package segments (directly under ``repro/``) that make up the
 #: simulated world.  Determinism rules apply here; host-side code (the
-#: parallel executor, the bench harness, the linter itself) may use
-#: wall clocks and environment variables freely.
+#: parallel executor, the linter itself) may use wall clocks and
+#: environment variables freely.
 SIM_SCOPE: Tuple[str, ...] = (
     "sim", "kernel", "cpu", "mem", "disk", "fs", "net", "core",
     "chaos", "faults", "antagonists", "workloads", "experiments",

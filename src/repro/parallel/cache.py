@@ -5,7 +5,7 @@ payload** — that is the determinism contract the executor's
 serial-vs-parallel byte-identity gate enforces — so a cell whose
 payload, callable, and *code* are byte-identical to a previously
 recorded run must produce the byte-identical result.  The cache turns
-that contract into wall clock: re-running ``python -m repro bench``, a
+that contract into wall clock: re-running an experiment sweep, a
 fuzz campaign, or a chaos soak skips every cell the store already
 holds.
 
@@ -23,8 +23,7 @@ holds.
   (``repro.lint.effects``) can prove the cached callable's dependency
   closure: only the ``.py`` files the callable can transitively reach
   are hashed, so touching a module *outside* that closure (the linter
-  itself, the bench harness, an unrelated experiment) preserves every
-  hit.  When the closure cannot be proven complete — the callable is
+  itself, an unrelated experiment) preserves every hit.  When the closure cannot be proven complete — the callable is
   not a ``repro`` function, the call graph hit an unresolvable dynamic
   edge, or the analysis itself fails — the key falls back to
   ``code_digest()``, which hashes **every** ``.py`` file of the
@@ -214,7 +213,7 @@ _CLOSURE_PARTS: Dict[str, Optional[str]] = {}
 _FILE_DIGESTS: Dict[str, bytes] = {}
 
 #: Key derivations served precisely vs via the whole-tree fallback,
-#: since process start; surfaced by ``python -m repro bench``.
+#: since process start; read through :func:`closure_stats`.
 _CLOSURE_STATS = {"precise": 0, "fallback": 0}
 
 

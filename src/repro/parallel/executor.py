@@ -190,22 +190,6 @@ class SweepStats:
     shm_spills: int = 0
     spooled_payloads: int = 0
 
-    def to_dict(self) -> dict:
-        return {
-            "workers": self.workers,
-            "batch_size": self.batch_size,
-            "transport": self.transport,
-            "cells": self.cells,
-            "wall_s": round(self.wall_s, 4),
-            "dispatch_s": round(self.dispatch_s, 4),
-            "compute_s": round(self.compute_s, 4),
-            "merge_s": round(self.merge_s, 4),
-            "retried_cells": self.retried_cells,
-            "pool_reuse": self.pool_reuse,
-            "cache_hits": self.cache_hits,
-            "cache_misses": self.cache_misses,
-        }
-
 
 @dataclass
 class RunOutcome:

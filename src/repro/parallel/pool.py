@@ -2,9 +2,9 @@
 
 Before this module existed, every :meth:`repro.parallel.Executor.run`
 forked a fresh set of worker processes and tore them down at the end —
-one fork cost per *stage*, paid again by every bench stage, every fuzz
-shard, and every chaos soak in the same process.  A
-:class:`WorkerPool` decouples worker lifetime from sweep lifetime:
+one fork cost per sweep, paid again by every fuzz shard and every
+chaos soak in the same process.  A :class:`WorkerPool` decouples
+worker lifetime from sweep lifetime:
 
 * **Function-per-batch protocol.**  Workers no longer bind the sweep
   callable at fork time; each batch message carries the callable

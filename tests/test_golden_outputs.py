@@ -1,11 +1,12 @@
-"""Every registered experiment's output, pinned.
+"""Every registered experiment's output, and the smoke fleet's, pinned.
 
 The canonical records of each (experiment, seed) cell must hash to the
 sha256 that ``perfbench/expected.json`` pins; the benchmark checks its
 own passes against the same file.  A change that moves any simulated
 number fails here.  Re-pin on purpose with
 ``python -m perfbench --update-expected 0-31``, so the new digests show
-in review.
+in review.  The smoke fleet is not a benchmark cell, so its journal
+digests are pinned here as constants; re-pin those by hand.
 """
 
 import hashlib
@@ -15,6 +16,8 @@ from pathlib import Path
 import pytest
 
 from repro.api import ExperimentSpec, names, run_experiment
+from repro.fleet.__main__ import smoke_spec
+from repro.fleet.runner import run_fleet_record
 
 EXPECTED = Path(__file__).resolve().parents[1] / "perfbench" / "expected.json"
 PINS = json.loads(EXPECTED.read_text(encoding="utf-8"))["seeds"]
@@ -26,3 +29,18 @@ def test_output_matches_the_pin(name, seed):
     text = run_experiment(ExperimentSpec(name=name, seed=seed)).canonical_json()
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINS[str(seed)][name]["sha256"]
+
+
+#: ``run_fleet_record(smoke_spec(scheme, seed).to_dict())["digest"]``.
+FLEET_PINS = {
+    ("smp", 0): "b18d2b8dbf9c4cd0",
+    ("smp", 1): "72235bc5fee1fcbd",
+    ("piso", 0): "07b824d3e045cee9",
+    ("piso", 1): "597bb068dc557734",
+}
+
+
+@pytest.mark.parametrize("scheme, seed", sorted(FLEET_PINS))
+def test_smoke_fleet_matches_the_pin(scheme, seed):
+    record = run_fleet_record(smoke_spec(scheme=scheme, seed=seed).to_dict())
+    assert record["digest"] == FLEET_PINS[scheme, seed]

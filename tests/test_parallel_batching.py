@@ -5,6 +5,7 @@ deterministic merge order, crash containment, retry accounting — while
 one pipe message carries several cells.  These tests pin that surface.
 """
 
+import dataclasses
 import os
 
 import pytest
@@ -137,7 +138,7 @@ def test_stats_stage_breakdown_populated():
     assert stats.wall_s > 0
     assert stats.compute_s > 0
     assert stats.dispatch_s >= 0 and stats.merge_s >= 0
-    payload = stats.to_dict()
+    payload = dataclasses.asdict(stats)
     for key in ("dispatch_s", "compute_s", "merge_s", "transport",
                 "batch_size", "retried_cells"):
         assert key in payload

@@ -1,7 +1,11 @@
 """The content-addressed sweep cache: keys, invalidation, byte identity."""
 
 import dataclasses
+import json
 import os
+import shutil
+import subprocess
+import sys
 
 import pytest
 
@@ -231,6 +235,93 @@ def test_cached_soak_journals_are_byte_identical_to_cold(tmp_path):
     assert [r.journal for r in warm] == [r.journal for r in cold]
 
 
+def _sweep(sections, seed=0, cache=None):
+    """One serial sweep: each section's canonical JSON, plus its stats."""
+    executor = Executor(SweepPlan(max_workers=1), cache=cache)
+    payloads = [ExperimentSpec(name=name, seed=seed) for name in sections]
+    results = values(executor.run(run_experiment, payloads))
+    return [r.canonical_json() for r in results], executor.stats
+
+
+#: Two cheap experiments keep the cold sweeps short while still
+#: measuring a real workload.
+CHEAP = ("fig5", "table4")
+
+
+def test_warm_sweep_answers_every_cell_from_the_cache(tmp_path):
+    cache = SweepCache(str(tmp_path))
+    cold, cold_stats = _sweep(CHEAP, cache=cache)
+    warm, warm_stats = _sweep(CHEAP, cache=cache)
+    assert cold_stats.cache_hits == 0
+    assert warm_stats.cache_hits == len(CHEAP)
+    assert warm == cold
+    # A warm sweep skips all compute, so it clears 1.5x by a wide margin.
+    assert warm_stats.wall_s * 1.5 <= cold_stats.wall_s
+
+
+def test_uncached_cold_and_warm_sweeps_agree(tmp_path):
+    plain, _ = _sweep(CHEAP)
+    cache = SweepCache(str(tmp_path))
+    cold, _ = _sweep(CHEAP, cache=cache)
+    warm, _ = _sweep(CHEAP, cache=cache)
+    assert plain == cold == warm
+
+
+def test_warm_fleet_sweeps_hit_the_cache_serially_and_in_parallel(tmp_path):
+    from repro.fleet.__main__ import smoke_spec
+    from repro.fleet.runner import run_fleet_record
+
+    payloads = [smoke_spec(scheme=s, seed=0).to_dict() for s in ("smp", "piso")]
+    cache = SweepCache(str(tmp_path))
+
+    def serial_then_parallel():
+        executors = [Executor(SweepPlan(max_workers=n), cache=cache)
+                     for n in (1, 2)]
+        records = [values(e.run(run_fleet_record, payloads))
+                   for e in executors]
+        return records, sum(e.stats.cache_hits for e in executors)
+
+    (cold_serial, cold_parallel), _ = serial_then_parallel()
+    (warm_serial, warm_parallel), warm_hits = serial_then_parallel()
+    assert cold_parallel == cold_serial
+    assert warm_serial == warm_parallel == cold_serial
+    assert warm_hits == 2 * len(payloads)
+
+
+def test_seed_change_reuses_no_entry(tmp_path):
+    cache = SweepCache(str(tmp_path))
+    _sweep(CHEAP, seed=0, cache=cache)
+    _, stats = _sweep(CHEAP, seed=1, cache=cache)
+    assert stats.cache_hits == 0
+
+
+@pytest.mark.parametrize("simsan", ["0", "1"])
+def test_warm_equals_cold_within_each_simsan_namespace(
+    tmp_path, monkeypatch, simsan,
+):
+    monkeypatch.setenv("REPRO_SIMSAN", simsan)
+    cache = SweepCache(str(tmp_path))
+    cold, _ = _sweep(["fig5"], cache=cache)
+    warm, stats = _sweep(["fig5"], cache=cache)
+    assert stats.cache_hits == 1
+    assert warm == cold
+
+
+def test_cli_warm_run_writes_the_cold_run_bytes(tmp_path):
+    from repro.experiments.runner import main
+
+    cache_dir = tmp_path / "cache"
+    written = []
+    for run in ("cold", "warm"):
+        path = tmp_path / f"{run}.json"
+        assert main(["fig5", "table4", "--cache", "--cache-dir",
+                     str(cache_dir), "--json", str(path)]) == 0
+        written.append(path.read_bytes())
+    assert written[0] == written[1]
+    # The warm run found the cold run's two entries and stored no more.
+    assert len(list(cache_dir.glob("objects/*/*.bin"))) == 2
+
+
 # --- function-precise closure digests ---------------------------------------
 
 
@@ -266,13 +357,12 @@ def test_repro_entry_points_get_precise_closures():
     assert first != cache_mod.code_digest()
     assert cache_mod.closure_stats()["precise"] == before + 2
     # The proven closure stays clear of host-side tooling: editing the
-    # linter, the bench harness, or the executor machinery must never
-    # invalidate simulation results.
+    # linter or the executor machinery must never invalidate
+    # simulation results.
     modules = _closure_modules("repro.api.registry:run")
     assert "repro.core.spu" in modules
     assert not any(
-        m.startswith(("repro.lint", "repro.bench", "repro.parallel"))
-        for m in modules
+        m.startswith(("repro.lint", "repro.parallel")) for m in modules
     )
 
 
@@ -313,6 +403,54 @@ def test_edit_inside_the_closure_forces_a_miss(tmp_path, monkeypatch):
         cache_mod._FILE_DIGESTS, spu_path, b"\x00" * 32
     )
     assert cache.key_for(run_experiment, ("fig5", 0)) != key_before
+
+
+#: Derives the fig5 seed-0 cache key in a fresh interpreter, so every
+#: source file is read from disk as it is now.
+_KEY_SCRIPT = """
+import json, sys
+import repro
+from repro.api import ExperimentSpec, run_experiment
+from repro.parallel import SweepCache, closure_stats
+key = SweepCache(sys.argv[1]).key_for(run_experiment, ExperimentSpec("fig5", 0))
+print(json.dumps({"package": repro.__file__, "key": key,
+                  "precise": closure_stats()["precise"]}))
+"""
+
+
+def test_real_edits_invalidate_only_inside_the_closure(tmp_path):
+    import repro
+
+    copy = tmp_path / "src"
+    shutil.copytree(
+        os.path.dirname(os.path.abspath(repro.__file__)), copy / "repro",
+        ignore=shutil.ignore_patterns("__pycache__"),
+    )
+    env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
+
+    def derive_key():
+        proc = subprocess.run(
+            [sys.executable, "-c", _KEY_SCRIPT, str(tmp_path / "cache")],
+            cwd=str(tmp_path), env=env, capture_output=True, text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        derived = json.loads(proc.stdout.splitlines()[-1])
+        assert derived["package"].startswith(str(copy))
+        assert derived["precise"] > 0
+        return derived["key"]
+
+    cli = copy / "repro" / "lint" / "cli.py"
+    untouched = derive_key()
+    original = cli.read_bytes()
+    cli.write_bytes(original + b"\n# an edit outside every simulation closure\n")
+    outside = derive_key()
+    cli.write_bytes(original)
+    spu = copy / "repro" / "core" / "spu.py"
+    spu.write_bytes(spu.read_bytes() + b"\n# an edit inside the closure\n")
+    inside = derive_key()
+    assert outside == untouched
+    assert inside != untouched
 
 
 def test_env_knobs_fold_into_precise_digests(monkeypatch):
