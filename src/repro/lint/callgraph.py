@@ -24,13 +24,12 @@ The graph is built in two passes over already-parsed ASTs:
 
 Anything that cannot be resolved — a call through a parameter, an
 unknown local, or a callable field — **widens** the function: closures
-containing a widened function are incomplete, and the sweep cache then
-falls back to the whole-tree digest.  A call site that is dynamic *by
-design* (the engine's event dispatch, the experiment registry, the
-worker pool) carries a ``# simlint: dynamic=<tag>`` audit marker: the
-marker suppresses widening because the possible targets are connected
-to the graph at their registration sites (scheduling a handler,
-decorating an experiment, submitting a cell) as ``ref`` edges.
+containing a widened function are incomplete.  A call site that is
+dynamic *by design* (the engine's event dispatch, the experiment
+registry, the worker pool) carries a ``# simlint: dynamic=<tag>`` audit
+marker: the marker suppresses widening because the possible targets
+are connected to the graph at their registration sites (scheduling a
+handler, decorating an experiment, submitting a cell) as ``ref`` edges.
 """
 
 from __future__ import annotations

@@ -113,7 +113,7 @@ def _explain(analysis, query: str) -> int:
     if summary.markers:
         print(f"  audited dynamic seams: {', '.join(summary.markers)}")
     if summary.widened:
-        print("  widened (closure falls back to whole-tree digest):")
+        print("  widened (closure incomplete):")
         for reason in summary.widened:
             print(f"    - {reason}")
     for site in summary.direct_effects:

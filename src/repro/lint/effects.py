@@ -5,17 +5,16 @@ extracts each function's *direct* effects (the same nondeterminism
 sources SL1xx flags file-locally, plus ledger writes), and runs a
 fixpoint pass propagating determinism taint over call edges.  The
 result — one :class:`~repro.lint.summaries.FunctionSummary` per
-function — feeds three consumers:
+function — feeds two consumers:
 
 * the SL5xx interprocedural determinism rules and the SL6xx
   shared-state ordering rules (:mod:`repro.lint.checkers.interproc`,
   :mod:`repro.lint.checkers.sharedstate`);
-* the SweepCache closure digest (:func:`EffectAnalysis.closure`): the
-  set of modules whose bytes can influence a cached function, with a
-  completeness bit that is False whenever a reachable function is
-  widened — the cache then falls back to the whole-tree digest, so a
-  hit can never be unsound;
-* ``python -m repro lint --why <fn>`` (the explain mode).
+* ``python -m repro lint --why <fn>`` (the explain mode), which also
+  reports the function's dependency closure
+  (:func:`EffectAnalysis.closure`): the set of modules whose bytes can
+  influence it, with a completeness bit that is False whenever a
+  reachable function is widened.
 
 **Taint propagation** follows call edges only (``direct``/``cha``) —
 a function that merely *schedules* a tainted handler is not itself
@@ -281,8 +280,7 @@ class EffectAnalysis:
         covers every function reachable over *all* edge kinds, each
         reached module's transitive top-level repro imports, and every
         parent package ``__init__`` (importing a module executes them
-        all).  An empty reason list means the closure is complete and
-        safe to hash in place of the whole tree.
+        all).  An empty reason list means the closure is complete.
         """
         if ref not in self.graph.functions:
             return None
@@ -407,23 +405,6 @@ def analyze_paths(paths: Iterable[str],
     for path in paths:
         with open(path, "r", encoding="utf-8") as handle:
             sources.append((display_path(path, root), handle.read(), None))
-    return EffectAnalysis.from_sources(sources)
-
-
-def analyze_package_dir(package_dir: str) -> EffectAnalysis:
-    """Build an analysis from an installed ``repro`` package directory."""
-    import os
-
-    sources: List[Tuple[str, str, Optional[ast.Module]]] = []
-    for dirpath, dirnames, filenames in os.walk(package_dir):
-        dirnames[:] = sorted(d for d in dirnames if d != "__pycache__")
-        for name in sorted(filenames):
-            if not name.endswith(".py"):
-                continue
-            full = os.path.join(dirpath, name)
-            rel = os.path.relpath(full, os.path.dirname(package_dir))
-            with open(full, "r", encoding="utf-8") as fh:
-                sources.append((rel.replace(os.sep, "/"), fh.read(), None))
     return EffectAnalysis.from_sources(sources)
 
 

@@ -7,8 +7,8 @@ reads, hash-order iteration), its *transitive* taints (the same four
 kinds, propagated over the call graph with a witness call chain), the
 ledger fields it writes, and the call edges that leave it.  The
 summaries are consumed twice — by the SL5xx/SL6xx project checkers and
-by the SweepCache closure digest — so they live in their own module
-with no dependency on either consumer.
+by ``repro lint --why`` — so they live in their own module with no
+dependency on either consumer.
 
 Everything here is a plain frozen dataclass: summaries are computed
 once per run and then only read.

@@ -1,11 +1,6 @@
 """Parallel sweep execution for independent simulation runs."""
 
-from repro.parallel.cache import (
-    SweepCache,
-    closure_digest,
-    closure_stats,
-    default_cache_dir,
-)
+from repro.parallel.cache import SweepCache, default_cache_dir
 from repro.parallel.executor import (
     DEFAULT_WORKER_CAP,
     Executor,
@@ -27,8 +22,6 @@ __all__ = [
     "SweepPlan",
     "SweepStats",
     "WorkerPool",
-    "closure_digest",
-    "closure_stats",
     "default_cache_dir",
     "resolve_workers",
     "values",

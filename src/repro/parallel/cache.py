@@ -11,7 +11,7 @@ holds.
 
 **Key derivation.**  A cell's key is::
 
-    sha256(closure_digest(fn) | fn_module:qualname | canonical_json(payload))
+    sha256(code_digest() | fn_module:qualname | canonical_json(payload))
 
 * ``canonical_json(payload)`` recursively canonicalises the payload —
   sorted keys, tagged tuples/dataclasses (class identity included, so
@@ -19,22 +19,19 @@ holds.
   A payload containing something canonicalisation refuses (callables,
   sets, non-string dict keys, unknown objects) is **uncacheable**: the
   cell simply runs, it is never mis-keyed.
-* the code part is **function-precise** when the static effect engine
-  (``repro.lint.effects``) can prove the cached callable's dependency
-  closure: only the ``.py`` files the callable can transitively reach
-  are hashed, so touching a module *outside* that closure (the linter
-  itself, an unrelated experiment) preserves every hit.  When the closure cannot be proven complete — the callable is
-  not a ``repro`` function, the call graph hit an unresolvable dynamic
-  edge, or the analysis itself fails — the key falls back to
-  ``code_digest()``, which hashes **every** ``.py`` file of the
-  installed ``repro`` package.  Both forms fold in every ``REPRO_*``
-  environment variable that can steer a run (SIMSAN on/off, plant
-  backdoors, …) and the interpreter tag (implementation + feature
-  version — entries are pickles, and pickle portability across
-  interpreters is not part of the contract).  The fallback is
-  conservative by design: a stale hit silently corrupts the
-  byte-identity the rest of the system is built on, so imprecision is
-  only ever allowed to cause *misses*.
+* ``fn_module:qualname`` must name ``fn`` itself — the rule pickle
+  uses to send a function by reference.  Closures, lambdas, partials
+  and callable instances fail it (two closures from one factory share
+  a qualname but not a result), so their cells run uncached too.
+* ``code_digest()`` hashes **every** ``.py`` file of the installed
+  ``repro`` package, plus every ``REPRO_*`` environment variable that
+  can steer a run (SIMSAN on/off, plant backdoors, …) and the
+  interpreter tag (implementation + feature version — entries are
+  pickles, and pickle portability across interpreters is not part of
+  the contract).  Any source edit or knob flip is therefore a
+  whole-store miss: a stale hit silently corrupts the byte-identity
+  the rest of the system is built on, so the key only ever errs
+  towards *misses*.
 
 **Store layout.**  Append-only and content-addressed:
 ``<root>/objects/<key[:2]>/<key>.bin``, one immutable entry per key,
@@ -152,34 +149,16 @@ def _digest_tree(root: str) -> "hashlib._Hash":
     return digest
 
 
-def _fold_key_context(digest: "hashlib._Hash") -> None:
-    """Fold the interpreter tag and ``REPRO_*`` overlay into ``digest``.
-
-    Folded per key derivation (not memoised), so a knob flipped
-    mid-process — a test harness toggling SIMSAN — changes the key
-    immediately.
-    """
-    digest.update(_INTERP_TAG.encode("utf-8"))
-    digest.update(b"\0")
-    # Host-side key derivation, not simulation behaviour: the env is
-    # hashed so a knob flip can never alias a cache entry.
-    for key in sorted(os.environ):  # simlint: disable=SL103
-        if key.startswith("REPRO_") and key not in _KEY_IRRELEVANT_ENV:
-            value = os.environ[key]  # simlint: disable=SL103
-            digest.update(f"{key}={value}".encode("utf-8"))
-            digest.update(b"\0")
-
-
 def code_digest() -> str:
     """Digest of the whole ``repro`` source tree plus key context.
 
     The source-tree hash is computed once per process (hashing ~150
-    files costs tens of milliseconds; doing it per cell would not);
-    the interpreter tag and ``REPRO_*`` environment overlay are folded
-    in per call.  Any source edit or knob change forces a whole-store
-    miss — the invalidation rule is "same bytes of code, same knobs,
-    or no hit at all".  This is the conservative fallback;
-    :func:`closure_digest` is the function-precise path.
+    files costs milliseconds; doing it per cell would not); the
+    interpreter tag and ``REPRO_*`` environment overlay are folded in
+    per call, so a knob flipped mid-process — a test harness toggling
+    SIMSAN — changes the key immediately.  Any source edit or knob
+    change forces a whole-store miss — the invalidation rule is "same
+    bytes of code, same knobs, or no hit at all".
     """
     global _CODE_DIGEST
     if _CODE_DIGEST is None:
@@ -189,127 +168,33 @@ def code_digest() -> str:
             os.path.dirname(os.path.abspath(repro.__file__))
         ).hexdigest()
     digest = hashlib.sha256(_CODE_DIGEST.encode("utf-8"))
-    _fold_key_context(digest)
+    digest.update(_INTERP_TAG.encode("utf-8"))
+    digest.update(b"\0")
+    # Host-side key derivation, not simulation behaviour: the env is
+    # hashed so a knob flip can never alias a cache entry.
+    for key in sorted(os.environ):  # simlint: disable=SL103
+        if key.startswith("REPRO_") and key not in _KEY_IRRELEVANT_ENV:
+            value = os.environ[key]  # simlint: disable=SL103
+            digest.update(f"{key}={value}".encode("utf-8"))
+            digest.update(b"\0")
     return digest.hexdigest()
 
 
-def _fn_ref(fn: Callable[[Any], Any]) -> str:
-    return f"{fn.__module__}:{getattr(fn, '__qualname__', fn.__name__)}"
+def _fn_ref(fn: Callable[[Any], Any]) -> Optional[str]:
+    """``module:qualname`` when that names ``fn`` itself, else None.
 
-
-# --- function-precise closure digests ---------------------------------------
-
-#: Per-process effect analysis of the installed tree: None = not built
-#: yet, False = build failed (don't retry per cell), else the analysis.
-_CLOSURE_ANALYSIS: Any = None
-
-#: Per-function memo: fn ref -> closure tree-part hex, or None when the
-#: function must use the whole-tree fallback (unknown to the graph,
-#: incomplete closure, or analysis unavailable).
-_CLOSURE_PARTS: Dict[str, Optional[str]] = {}
-
-#: Per-file content-hash memo (sources don't change mid-process — the
-#: same assumption ``_CODE_DIGEST`` already makes).
-_FILE_DIGESTS: Dict[str, bytes] = {}
-
-#: Key derivations served precisely vs via the whole-tree fallback,
-#: since process start; read through :func:`closure_stats`.
-_CLOSURE_STATS = {"precise": 0, "fallback": 0}
-
-
-def _ensure_analysis() -> Any:
-    """Build (once per process) the effect analysis, or None."""
-    global _CLOSURE_ANALYSIS
-    if _CLOSURE_ANALYSIS is None:
-        try:
-            # Imported lazily *inside* this function on purpose: the
-            # cache module is imported by the executor, and a
-            # module-level import here would drag ``repro.lint`` into
-            # every cached function's dependency closure.
-            import repro
-            from repro.lint.effects import analyze_package_dir
-
-            _CLOSURE_ANALYSIS = analyze_package_dir(
-                os.path.dirname(os.path.abspath(repro.__file__))
-            )
-        except Exception:
-            _CLOSURE_ANALYSIS = False
-    return _CLOSURE_ANALYSIS or None
-
-
-def _file_digest(path: str) -> bytes:
-    digest = _FILE_DIGESTS.get(path)
-    if digest is None:
-        with open(path, "rb") as fh:
-            digest = hashlib.sha256(fh.read()).digest()
-        _FILE_DIGESTS[path] = digest
-    return digest
-
-
-def _closure_part(ref: str) -> Optional[str]:
-    """Hash of ``ref``'s proven dependency closure, or None."""
-    analysis = _ensure_analysis()
-    if analysis is None:
-        return None
-    closure = analysis.closure(ref)
-    if closure is None:
-        return None
-    modules, widen_reasons = closure
-    if widen_reasons:
-        # The graph could not resolve some edge out of this closure;
-        # hashing only the known part would risk a stale hit.
-        return None
-    import repro
-
-    tree_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__))
-    )
-    digest = hashlib.sha256()
-    for name in sorted(modules):
-        mi = analysis.graph.modules.get(name)
-        if mi is None:  # pragma: no cover - complete closures are indexed
-            return None
-        digest.update(mi.path.encode("utf-8"))
-        digest.update(b"\0")
-        digest.update(_file_digest(os.path.join(tree_root, mi.path)))
-        digest.update(b"\0")
-    return digest.hexdigest()
-
-
-def closure_digest(fn: Callable[[Any], Any]) -> str:
-    """Function-precise code digest for ``fn``; never less safe.
-
-    When the effect engine proves ``fn``'s dependency closure is
-    complete, the digest covers exactly the source files in that
-    closure (plus the interpreter tag and ``REPRO_*`` overlay), so
-    edits to files *outside* the closure keep the store warm.  In
-    every other case — ``fn`` is not a ``repro`` function, its closure
-    contains a widened edge, the analysis failed — the whole-tree
-    :func:`code_digest` is returned instead, which can only turn
-    would-be hits into misses, never the reverse.
+    Walking the qualname from ``sys.modules`` is how pickle sends a
+    function by reference; anything it does not lead back to (a closure,
+    a lambda, a partial, a callable instance) has no stable name.
     """
-    module = getattr(fn, "__module__", "") or ""
-    part: Optional[str] = None
-    if module == "repro" or module.startswith("repro."):
-        ref = _fn_ref(fn)
-        if ref not in _CLOSURE_PARTS:
-            try:
-                _CLOSURE_PARTS[ref] = _closure_part(ref)
-            except Exception:
-                _CLOSURE_PARTS[ref] = None
-        part = _CLOSURE_PARTS[ref]
-    if part is None:
-        _CLOSURE_STATS["fallback"] += 1
-        return code_digest()
-    _CLOSURE_STATS["precise"] += 1
-    digest = hashlib.sha256(part.encode("utf-8"))
-    _fold_key_context(digest)
-    return digest.hexdigest()
-
-
-def closure_stats() -> Dict[str, int]:
-    """Precise vs fallback key derivations since process start."""
-    return dict(_CLOSURE_STATS)
+    module = getattr(fn, "__module__", None)
+    qualname = getattr(fn, "__qualname__", None)
+    if not isinstance(module, str) or not isinstance(qualname, str):
+        return None
+    obj: Any = sys.modules.get(module)
+    for part in qualname.split("."):
+        obj = getattr(obj, part, None)
+    return f"{module}:{qualname}" if obj is fn else None
 
 
 def _warn_stderr(message: str) -> None:
@@ -339,13 +224,14 @@ class SweepCache:
 
     def key_for(self, fn: Callable[[Any], Any], payload: Any) -> Optional[str]:
         """The cell's content address, or None when uncacheable."""
+        ref = _fn_ref(fn)
         canonical = canonical_payload(payload)
-        if canonical is None:
+        if ref is None or canonical is None:
             return None
         digest = hashlib.sha256()
-        digest.update(closure_digest(fn).encode("utf-8"))
+        digest.update(code_digest().encode("utf-8"))
         digest.update(b"\0")
-        digest.update(_fn_ref(fn).encode("utf-8"))
+        digest.update(ref.encode("utf-8"))
         digest.update(b"\0")
         digest.update(canonical)
         return digest.hexdigest()

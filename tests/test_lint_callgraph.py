@@ -2,11 +2,10 @@
 
 Every dynamic-dispatch shape the graph claims to handle has a
 *resolved* fixture (the edge lands, the dependency closure stays
-complete) and a *widened* one (the graph admits defeat, so the sweep
-cache falls back to the whole-tree digest instead of risking a stale
-hit).  The shapes: decorated functions, ``functools.partial``,
-lambdas stored in dataclass fields, and :mod:`repro.api`'s lazy
-``_LAZY_EXPORTS`` re-export table.
+complete) and a *widened* one (the graph admits defeat and marks the
+closure incomplete instead of guessing an edge).  The shapes: decorated
+functions, ``functools.partial``, lambdas stored in dataclass fields,
+and :mod:`repro.api`'s lazy ``_LAZY_EXPORTS`` re-export table.
 """
 
 from repro.lint.effects import EffectAnalysis
@@ -197,4 +196,4 @@ class TestLazyExports:
         assert "'not_exported'" in widened[0]
         assert "repro.api" in widened[0]
         _modules, reasons = a.closure("repro.experiments.use:go_missing")
-        assert reasons  # incomplete: the cache must not trust it
+        assert reasons  # incomplete: the missing edge is not guessed

@@ -12,6 +12,8 @@ import json
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 from repro.lint import all_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.effects import analyze_paths
@@ -19,6 +21,13 @@ from repro.lint.framework import HOT_MODULES, iter_python_files
 from repro.lint.output import render_json, render_sarif, render_text
 
 ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.fixture(scope="module")
+def real_tree():
+    """The effect analysis of the repository's own ``src/repro``."""
+    return analyze_paths(iter_python_files([str(ROOT / "src" / "repro")]))
+
 
 HOSTUTIL = """\
 import os
@@ -294,11 +303,8 @@ class TestDerivedHotModules:
         without = run_lint([str(tmp_path)], root=str(tmp_path))
         assert not [f for f in without if f.rule == "SL401"]
 
-    def test_real_tree_static_list_is_a_subset_of_derived(self):
-        analysis = analyze_paths(
-            iter_python_files([str(ROOT / "src" / "repro")])
-        )
-        derived = set(analysis.hot_modules())
+    def test_real_tree_static_list_is_a_subset_of_derived(self, real_tree):
+        derived = set(real_tree.hot_modules())
         missing = set(HOT_MODULES) - derived
         assert not missing, (
             "static HOT_MODULES entries no longer reachable from "
@@ -314,6 +320,16 @@ class TestWhyCommand:
         assert "repro.sim.handlers:on_tick" in out
         assert "transitive wall-clock" in out
         assert "dependency closure:" in out and "complete" in out
+
+    def test_registry_run_has_a_complete_sim_closure(self, real_tree):
+        # The closure --why reports for the experiment registry's entry
+        # point is complete and stays clear of host-side tooling.
+        modules, reasons = real_tree.closure("repro.api.registry:run")
+        assert reasons == []
+        assert "repro.core.spu" in modules
+        assert not any(
+            m.startswith(("repro.lint", "repro.parallel")) for m in modules
+        )
 
     def test_unknown_function_is_a_usage_error(self, tmp_path, capsys):
         build_tree(tmp_path)

@@ -1,6 +1,7 @@
 """The content-addressed sweep cache: keys, invalidation, byte identity."""
 
 import dataclasses
+import functools
 import json
 import os
 import shutil
@@ -233,6 +234,22 @@ def test_cached_soak_journals_are_byte_identical_to_cold(tmp_path):
     )
     assert [r.journal for r in cached_cold] == [r.journal for r in cold]
     assert [r.journal for r in warm] == [r.journal for r in cold]
+    assert len(list(tmp_path.glob("objects/*/*.bin"))) == len(seeds)
+
+
+def test_cached_fuzz_campaign_writes_the_cold_corpus_bytes(tmp_path):
+    from repro.fuzz.campaign import CampaignConfig, run_campaign
+
+    corpora, reports = [], []
+    for run in ("cold", "warm"):
+        corpus = tmp_path / f"{run}.jsonl"
+        reports.append(run_campaign(CampaignConfig(
+            seeds=range(4), horizon_us=400_000, cache=True,
+            cache_dir=str(tmp_path / "cache"), corpus_path=str(corpus),
+        )))
+        corpora.append(corpus.read_bytes())
+    assert corpora[0] == corpora[1]
+    assert [r.cache_hits for r in reports] == [0, 4]
 
 
 def _sweep(sections, seed=0, cache=None):
@@ -322,87 +339,40 @@ def test_cli_warm_run_writes_the_cold_run_bytes(tmp_path):
     assert len(list(cache_dir.glob("objects/*/*.bin"))) == 2
 
 
-# --- function-precise closure digests ---------------------------------------
-
-
-def _closure_modules(ref):
-    analysis = cache_mod._ensure_analysis()
-    assert analysis is not None
-    modules, reasons = analysis.closure(ref)
-    assert reasons == [], f"{ref} closure unexpectedly incomplete: {reasons}"
-    return modules
+# --- the whole-tree code digest ----------------------------------------------
 
 
 def test_interpreter_tag_participates_in_every_key(tmp_path, monkeypatch):
     # Entries are pickles: a different implementation/feature-version
-    # pair must land at a different address (satellite: portability).
+    # pair must land at a different address.
     cache = SweepCache(str(tmp_path))
-    fallback_key = cache.key_for(_square, 3)
-    precise = cache_mod.closure_digest(run_experiment)
+    key = cache.key_for(_square, 3)
+    digest = cache_mod.code_digest()
     monkeypatch.setattr(cache_mod, "_INTERP_TAG", "otherpython-9.9")
-    assert cache.key_for(_square, 3) != fallback_key
-    assert cache_mod.closure_digest(run_experiment) != precise
+    assert cache.key_for(_square, 3) != key
+    assert cache_mod.code_digest() != digest
 
 
-def test_non_repro_functions_fall_back_to_the_whole_tree(tmp_path):
-    before = cache_mod.closure_stats()["fallback"]
-    assert cache_mod.closure_digest(_square) == cache_mod.code_digest()
-    assert cache_mod.closure_stats()["fallback"] == before + 1
+def test_env_knobs_fold_into_the_code_digest(monkeypatch):
+    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
+    plain = cache_mod.code_digest()
+    monkeypatch.setenv("REPRO_SIMSAN", "1")
+    assert cache_mod.code_digest() != plain
+    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
+    monkeypatch.setenv("REPRO_CACHE_DIR", "/elsewhere")
+    assert cache_mod.code_digest() == plain
 
 
-def test_repro_entry_points_get_precise_closures():
-    before = cache_mod.closure_stats()["precise"]
-    first = cache_mod.closure_digest(run_experiment)
-    assert first == cache_mod.closure_digest(run_experiment)
-    assert first != cache_mod.code_digest()
-    assert cache_mod.closure_stats()["precise"] == before + 2
-    # The proven closure stays clear of host-side tooling: editing the
-    # linter or the executor machinery must never invalidate
-    # simulation results.
-    modules = _closure_modules("repro.api.registry:run")
-    assert "repro.core.spu" in modules
-    assert not any(
-        m.startswith(("repro.lint", "repro.parallel")) for m in modules
+def _run_script(script, pythonpath, cwd):
+    """Run ``script`` in a fresh interpreter, with ``cwd/cache`` as its
+    argument; returns its last stdout line parsed as JSON."""
+    env = dict(os.environ, PYTHONPATH=pythonpath, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(cwd / "cache")],
+        cwd=str(cwd), env=env, capture_output=True, text=True, timeout=120,
     )
-
-
-def test_edit_outside_the_closure_preserves_hits(tmp_path, monkeypatch):
-    payloads = [ExperimentSpec(name="fig5", seed=0)]
-    plan = SweepPlan(max_workers=1, cache=True, cache_dir=str(tmp_path))
-    cold_exec = Executor(plan)
-    cold = values(cold_exec.run(run_experiment, payloads))
-    assert cold_exec.stats.cache_misses == 1
-
-    # An edit outside the closure moves the whole-tree digest but not
-    # the per-function one, so the store stays warm...
-    digest_before = cache_mod.closure_digest(run_experiment)
-    monkeypatch.setattr(cache_mod, "_CODE_DIGEST", "outside-closure-edit")
-    assert cache_mod.closure_digest(run_experiment) == digest_before
-    warm_exec = Executor(plan)
-    warm = values(warm_exec.run(run_experiment, payloads))
-    assert warm_exec.stats.cache_hits == 1
-    # ... and the replayed bytes are the cold run's, exactly.
-    assert [r.canonical_json() for r in warm] == [
-        r.canonical_json() for r in cold
-    ]
-
-
-def test_edit_inside_the_closure_forces_a_miss(tmp_path, monkeypatch):
-    import repro
-
-    cache = SweepCache(str(tmp_path))
-    key_before = cache.key_for(run_experiment, ("fig5", 0))
-    modules = _closure_modules("repro.api.registry:run")
-    assert "repro.core.spu" in modules  # the file we "edit" is inside
-    tree_root = os.path.dirname(
-        os.path.dirname(os.path.abspath(repro.__file__))
-    )
-    spu_path = os.path.join(tree_root, "repro", "core", "spu.py")
-    monkeypatch.setattr(cache_mod, "_CLOSURE_PARTS", {})
-    monkeypatch.setitem(
-        cache_mod._FILE_DIGESTS, spu_path, b"\x00" * 32
-    )
-    assert cache.key_for(run_experiment, ("fig5", 0)) != key_before
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
 
 
 #: Derives the fig5 seed-0 cache key in a fresh interpreter, so every
@@ -411,56 +381,108 @@ _KEY_SCRIPT = """
 import json, sys
 import repro
 from repro.api import ExperimentSpec, run_experiment
-from repro.parallel import SweepCache, closure_stats
+from repro.parallel import SweepCache
 key = SweepCache(sys.argv[1]).key_for(run_experiment, ExperimentSpec("fig5", 0))
-print(json.dumps({"package": repro.__file__, "key": key,
-                  "precise": closure_stats()["precise"]}))
+print(json.dumps({"package": repro.__file__, "key": key}))
 """
 
 
-def test_real_edits_invalidate_only_inside_the_closure(tmp_path):
+def test_real_edits_to_any_py_file_change_the_key(tmp_path):
     import repro
 
     copy = tmp_path / "src"
+    package = copy / "repro"
     shutil.copytree(
-        os.path.dirname(os.path.abspath(repro.__file__)), copy / "repro",
+        os.path.dirname(os.path.abspath(repro.__file__)), package,
         ignore=shutil.ignore_patterns("__pycache__"),
     )
-    env = dict(os.environ, PYTHONPATH=str(copy), PYTHONDONTWRITEBYTECODE="1")
 
     def derive_key():
-        proc = subprocess.run(
-            [sys.executable, "-c", _KEY_SCRIPT, str(tmp_path / "cache")],
-            cwd=str(tmp_path), env=env, capture_output=True, text=True,
-            timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        derived = json.loads(proc.stdout.splitlines()[-1])
+        derived = _run_script(_KEY_SCRIPT, str(copy), tmp_path)
         assert derived["package"].startswith(str(copy))
-        assert derived["precise"] > 0
         return derived["key"]
 
-    cli = copy / "repro" / "lint" / "cli.py"
     untouched = derive_key()
+    # The linter is no simulation code, but it is a .py file of the tree.
+    cli = package / "lint" / "cli.py"
     original = cli.read_bytes()
-    cli.write_bytes(original + b"\n# an edit outside every simulation closure\n")
-    outside = derive_key()
+    cli.write_bytes(original + b"\n# an edit to the linter\n")
+    assert derive_key() != untouched
     cli.write_bytes(original)
-    spu = copy / "repro" / "core" / "spu.py"
-    spu.write_bytes(spu.read_bytes() + b"\n# an edit inside the closure\n")
-    inside = derive_key()
-    assert outside == untouched
-    assert inside != untouched
+    assert derive_key() == untouched
+    spu = package / "core" / "spu.py"
+    original = spu.read_bytes()
+    spu.write_bytes(original + b"\n# an edit to the simulator\n")
+    assert derive_key() != untouched
+    spu.write_bytes(original)
+    (package / "NOTES.txt").write_text("not source\n")
+    assert derive_key() == untouched
 
 
-def test_env_knobs_fold_into_precise_digests(monkeypatch):
-    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-    plain = cache_mod.closure_digest(run_experiment)
-    monkeypatch.setenv("REPRO_SIMSAN", "1")
-    assert cache_mod.closure_digest(run_experiment) != plain
-    monkeypatch.delenv("REPRO_SIMSAN", raising=False)
-    monkeypatch.setenv("REPRO_CACHE_DIR", "/elsewhere")
-    assert cache_mod.closure_digest(run_experiment) == plain
+#: Runs a cached fig5 sweep twice in a fresh interpreter and reports
+#: which linter modules the process loaded along the way.
+_NO_LINT_SCRIPT = """
+import json, sys
+from repro.api import ExperimentSpec, run_experiment
+from repro.parallel import Executor, SweepPlan
+plan = SweepPlan(max_workers=1, cache=True, cache_dir=sys.argv[1])
+hits = []
+for _ in range(2):
+    executor = Executor(plan)
+    executor.run(run_experiment, [ExperimentSpec("fig5", 0)])
+    hits.append(executor.stats.cache_hits)
+lint = sorted(m for m in sys.modules if m.split(".")[:2] == ["repro", "lint"])
+print(json.dumps({"hits": hits, "lint": lint}))
+"""
+
+
+def test_cached_sweeps_never_load_the_linter(tmp_path):
+    import repro
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    report = _run_script(_NO_LINT_SCRIPT, src, tmp_path)
+    assert report == {"hits": [0, 1], "lint": []}
+
+
+# --- callables the cache cannot name -----------------------------------------
+
+
+def _make_scaler(factor):
+    def scale(x):
+        return x * factor
+    return scale
+
+
+class _Offset:
+    def __init__(self, offset):
+        self.offset = offset
+
+    def __call__(self, x):
+        return x + self.offset
+
+
+def _add(offset, x):
+    return x + offset
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    (_make_scaler(2), _make_scaler(3), ([6], [9])),
+    (lambda x: x + 1, lambda x: x + 100, ([4], [103])),
+    (functools.partial(_add, 1), functools.partial(_add, 100), ([4], [103])),
+    (_Offset(1), _Offset(100), ([4], [103])),
+], ids=["closure", "lambda", "partial", "instance"])
+def test_unnameable_callables_run_uncached(tmp_path, first, second, expected):
+    # module:qualname does not name these, so two of them must never
+    # share an entry: each runs uncached and returns its own value.
+    plan = SweepPlan(max_workers=1, cache=True, cache_dir=str(tmp_path))
+    assert SweepCache(str(tmp_path)).key_for(first, 3) is None
+    results = []
+    for fn in (first, second):
+        executor = Executor(plan)
+        results.append(values(executor.run(fn, [3])))
+        assert executor.stats.cache_hits == 0
+    assert tuple(results) == expected
+    assert not list(tmp_path.glob("objects/*/*.bin"))
 
 
 def test_simsan_entries_never_alias_plain_entries(tmp_path, monkeypatch):
