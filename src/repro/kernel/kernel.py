@@ -305,6 +305,8 @@ class Kernel:  # simlint: disable=SL401
         rebalance themselves).
         """
         self.config = dataclasses.replace(self.config, contract=contract)
+        if self.memdaemon is not None:
+            self.memdaemon.unsettle()
         if rebalance and self._booted:
             self.rebalance_spus()
 
@@ -357,7 +359,7 @@ class Kernel:  # simlint: disable=SL401
                 levels.set_allowed(self.config.total_pages)
         if self.scheme.mem_limits:
             self.memdaemon = MemorySharingDaemon(
-                self.engine, self.memory, self.config.contract
+                self.engine, self.memory, lambda: self.config.contract
             )
             self.memdaemon.start()
         if self.scheme.params.proactive_pageout:

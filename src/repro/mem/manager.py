@@ -14,6 +14,12 @@ filesystem's ``PageProvider`` protocol).  Per the paper (Section 3.2):
 
 Denials are counted per SPU between rebalance periods; the sharing
 daemon uses them as the memory-pressure signal.
+
+Every change to a page count (a grant, a free, a transfer, pages
+leaving or rejoining the machine) bumps :attr:`MemoryManager.generation`;
+a denial does not, since the daemon reads :attr:`MemoryManager.denials`
+directly.  The sharing daemon skips a periodic pass while neither has
+moved since its last full pass.
 """
 
 from __future__ import annotations
@@ -63,6 +69,9 @@ class MemoryManager:  # simlint: disable=SL401
         self.total_denials: Dict[int, int] = {}
         #: Pages removed by hardware faults over the run.
         self.decommissioned = 0
+        #: Bumped by every page-count change; the sharing daemon's
+        #: "has anything moved" signal.
+        self.generation = 0
 
         # The kernel and shared SPUs are capped only by the machine.
         for spu in (registry.kernel_spu, registry.shared_spu):
@@ -125,6 +134,7 @@ class MemoryManager:  # simlint: disable=SL401
             return False
         levels.acquire(1)
         self.free_pages -= 1
+        self.generation += 1
         return True
 
     def try_allocate_n(self, spu_id: int, n: int) -> int:
@@ -152,6 +162,7 @@ class MemoryManager:  # simlint: disable=SL401
                 return 0
         levels.acquire(grant)
         self.free_pages -= grant
+        self.generation += 1
         return grant
 
     def _deny(self, spu_id: int) -> None:
@@ -162,6 +173,7 @@ class MemoryManager:  # simlint: disable=SL401
         """Return one page charged to ``spu_id``."""
         self.registry.get(spu_id).memory().release(1)
         self.free_pages += 1
+        self.generation += 1
         if self.free_pages > self.total_pages:  # pragma: no cover - invariant
             raise OutOfMemoryError("freed more pages than the machine has")
 
@@ -171,6 +183,7 @@ class MemoryManager:  # simlint: disable=SL401
             return
         self.registry.get(spu_id).memory().release(n)
         self.free_pages += n
+        self.generation += 1
         if self.free_pages > self.total_pages:  # pragma: no cover - invariant
             raise OutOfMemoryError("freed more pages than the machine has")
 
@@ -190,6 +203,7 @@ class MemoryManager:  # simlint: disable=SL401
         if not levels.can_use(1):
             levels.set_allowed(levels.used + 1)
         levels.acquire(1)
+        self.generation += 1
         return True
 
     def _capped(self, spu: SPU) -> bool:
@@ -221,6 +235,8 @@ class MemoryManager:  # simlint: disable=SL401
             self.total_pages -= 1
             removed += 1
         self.decommissioned += removed
+        if removed:
+            self.generation += 1
         return removed
 
     def recommission(self, pages: int) -> None:
@@ -229,6 +245,8 @@ class MemoryManager:  # simlint: disable=SL401
             raise ValueError(f"cannot recommission {pages} pages")
         self.total_pages += pages
         self.free_pages += pages
+        if pages:
+            self.generation += 1
 
     # --- pressure signals ----------------------------------------------------
 

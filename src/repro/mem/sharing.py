@@ -14,11 +14,22 @@ Periodically:
    back is the page-stealing path's job, so revocation is gradual, as
    in the paper ("the memory re-allocation is temporary, and can be
    reset if the memory situation ... changes").
+
+A pass that sees no denials is idempotent: it sets every entitlement
+from page counts, the active SPU set and the contract, and floors every
+cap at ``max(entitled, used)``.  So the timer skips the pass while the
+daemon is *settled*: no denials are pending and the manager's
+generation has not moved since the last full pass, which saw none.
+Changes to the SPU set, the machine's capacity or an adaptive
+contract's weights run a full pass through
+:meth:`~repro.kernel.kernel.Kernel.rebalance_spus`, and a contract swap
+calls :meth:`MemorySharingDaemon.unsettle`.  The timer itself keeps
+firing, so event counts do not depend on the gate.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Callable, Dict, Optional
 
 from repro.core.contracts import SharingContract
 from repro.core.resources import Resource
@@ -33,26 +44,32 @@ class MemorySharingDaemon:
     __slots__ = (
         "engine",
         "manager",
-        "contract",
+        "_contract",
         "registry",
         "_timer",
         "loans",
+        "_settled",
     )
 
     def __init__(
         self,
         engine: Engine,
         manager: MemoryManager,
-        contract: SharingContract,
+        contract: Callable[[], SharingContract],
     ):
         self.engine = engine
         self.manager = manager
-        self.contract = contract
+        #: Returns the machine's current contract; the kernel's
+        #: ``config.contract`` is the only copy.
+        self._contract = contract
         self.registry: SPURegistry = manager.registry
         self._timer: Optional[PeriodicTimer] = None
         #: Loans granted (SPU id -> extra pages above entitlement), for
         #: reporting.
         self.loans: Dict[int, int] = {}
+        #: ``manager.generation`` after the last full pass, if that pass
+        #: saw no denials; None while a full pass is owed.
+        self._settled: Optional[int] = None
 
     # --- lifecycle -------------------------------------------------------------
 
@@ -60,7 +77,7 @@ class MemorySharingDaemon:
         if self._timer is not None:
             raise RuntimeError("memory daemon already started")
         period = self.manager.scheme.params.memory_rebalance_period
-        self._timer = self.engine.every(period, self.rebalance)
+        self._timer = self.engine.every(period, self._periodic)
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -69,8 +86,26 @@ class MemorySharingDaemon:
 
     # --- the rebalance pass ---------------------------------------------------
 
+    @property
+    def settled(self) -> bool:
+        """Whether a pass now would change nothing.
+
+        True while no denials are pending and no page count has moved
+        since the last full pass, which saw none.
+        """
+        return not self.manager.denials and self.manager.generation == self._settled
+
+    def unsettle(self) -> None:
+        """Owe a full pass: an input outside page accounting changed."""
+        self._settled = None
+
+    def _periodic(self) -> None:
+        """The timer callback: a full pass unless it would be a no-op."""
+        if not self.settled:
+            self.rebalance()
+
     def rebalance(self) -> None:
-        """One pass: re-entitle, then lend or revoke."""
+        """One full pass: re-entitle, then lend or revoke."""
         users = self.registry.active_user_spus()
         if not users:
             return
@@ -83,6 +118,8 @@ class MemorySharingDaemon:
         self.loans = {
             s.spu_id: s.memory().borrowed for s in users if s.memory().borrowed
         }
+        # A lending pass is not a fixed point: the next one revokes.
+        self._settled = None if denials else self.manager.generation
 
     def _update_entitlements(self, users) -> None:
         """Divide the non-kernel, non-shared pool among user SPUs.
@@ -92,7 +129,7 @@ class MemorySharingDaemon:
         — so entitlements shrink as shared/kernel usage grows.
         """
         pool = self.manager.user_pool()
-        for spu, entitled in self.contract.entitlements(pool, users).items():
+        for spu, entitled in self._contract().entitlements(pool, users).items():
             levels = self.registry.get(spu).memory()
             levels.set_entitled(entitled)
 

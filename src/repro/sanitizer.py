@@ -20,6 +20,11 @@ re-derives the kernel's conservation laws after events:
   SPU ledgers equal the sectors moved by successful completions;
 * **cache index** — the buffer cache's per-SPU LRU dicts and its dirty
   index agree with its blocks;
+* **memory settled** — while the memory-sharing daemon would skip its
+  pass (no denials pending, no page count moved since its last full
+  pass), every active user SPU's memory ``entitled`` is already the
+  contract's share of the user pool and its ``allowed`` is already
+  ``max(entitled, used)``: the skipped pass had nothing to change;
 * **no negative counters** anywhere in the above.
 
 This complements the periodic :class:`repro.faults.invariants.InvariantWatchdog`:
@@ -192,6 +197,30 @@ class SimSanitizer:
         drift = kernel.fs.cache.index_drift()
         if drift is not None:
             self._fail("cache-index", drift)
+
+        # Memory settled: a pass the daemon skips must be a no-op, so
+        # re-derive what it would set and check it already holds.
+        daemon = kernel.memdaemon
+        if daemon is not None and daemon.settled:
+            users = kernel.registry.active_user_spus()
+            want = kernel.config.contract.entitlements(
+                kernel.memory.user_pool(), users
+            )
+            for spu in users:
+                levels = spu.memory()
+                if levels.entitled != want[spu.spu_id]:
+                    self._fail(
+                        "memory-settled",
+                        f"SPU {spu.spu_id}: entitled {levels.entitled}"
+                        f" (want {want[spu.spu_id]})",
+                    )
+                cap = max(levels.entitled, levels.used)
+                if levels.allowed != cap:
+                    self._fail(
+                        "memory-settled",
+                        f"SPU {spu.spu_id}: allowed {levels.allowed}"
+                        f" (want {cap})",
+                    )
 
     def _fail(self, law: str, detail: str) -> None:
         raise SanitizerError(

@@ -193,6 +193,24 @@ class TestCorruptionDetection:
         with pytest.raises(SanitizerError, match="cache-index"):
             san.check()
 
+    def test_memory_settled_drift(self):
+        kernel, _spus = booted(nspus=2)
+        kernel.run(until=150 * MSEC)  # one periodic pass settles the daemon
+        san = SimSanitizer(kernel)
+        san.check()
+        manager = kernel.memory
+        generation = manager.generation
+        for _ in range(64):
+            assert manager.try_allocate(kernel.registry.kernel_spu.spu_id)
+        # Hide the smaller user pool from the gate: the daemon stays
+        # settled, but a pass now would re-entitle both SPUs.
+        manager.generation = generation
+        assert kernel.memdaemon.settled
+        with pytest.raises(
+            SanitizerError, match=r"memory-settled: SPU 2: entitled 1920 \(want 1888\)"
+        ):
+            san.check()
+
     def test_mid_run_corruption_raises_from_the_event_loop(self):
         kernel, (spu,) = booted()
         san = SimSanitizer(kernel)
