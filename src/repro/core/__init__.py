@@ -31,7 +31,6 @@ from repro.core.policy import (
     AlwaysShare,
     NeverShare,
     ShareIdle,
-    ShareIdleWithSubset,
     SharingPolicy,
 )
 from repro.core.resources import MILLI_CPU, Resource, ResourceLevelError, ResourceLevels
@@ -71,7 +70,6 @@ __all__ = [
     "NeverShare",
     "AlwaysShare",
     "ShareIdle",
-    "ShareIdleWithSubset",
     "SharingContract",
     "EqualShareContract",
     "ScaledContract",

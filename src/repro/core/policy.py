@@ -1,7 +1,7 @@
 """Per-SPU sharing policies (paper Section 2.1, third part of the SPU).
 
-A sharing policy decides when and to whom an SPU's resources are lent
-while idle.  The paper lists three archetypes, all implemented here:
+A sharing policy decides how much of an SPU's resources may be lent
+to other SPUs.  The paper lists three archetypes, all implemented here:
 
 * :class:`NeverShare` — keep everything; approximates separate machines
   or fixed quotas (the ``Quo`` scheme).
@@ -10,15 +10,15 @@ while idle.  The paper lists three archetypes, all implemented here:
 * :class:`ShareIdle` — lend only idle resources, to any SPU that needs
   them; this is the policy the performance-isolation model uses.
 
-Policies are stateless and consulted by the resource managers (CPU
-scheduler, memory daemon); they only answer questions, they do not move
-resources themselves.
+Policies are stateless and consulted by the memory-sharing daemon;
+they only answer questions, they do not move resources themselves.
+CPU lending is carried by the scheme flags (``cpu_partitioned`` and
+``cpu_lending`` in :mod:`repro.core.schemes`), not by a policy.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Iterable, List
 
 from repro.core.resources import Resource
 from repro.core.spu import SPU
@@ -33,17 +33,6 @@ class SharingPolicy(abc.ABC):
     def lendable(self, spu: SPU, resource: Resource) -> int:
         """How much of ``resource`` this SPU is willing to lend right now."""
 
-    @abc.abstractmethod
-    def may_borrow_from(self, lender: SPU, borrower: SPU) -> bool:
-        """Whether ``borrower`` is an acceptable recipient of a loan."""
-
-    def select_borrowers(
-        self, lender: SPU, candidates: Iterable[SPU]
-    ) -> List[SPU]:
-        """Filter candidate borrowers by this policy, preserving order."""
-        return [c for c in candidates if c.spu_id != lender.spu_id
-                and self.may_borrow_from(lender, c)]
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__}>"
 
@@ -55,9 +44,6 @@ class NeverShare(SharingPolicy):
 
     def lendable(self, spu: SPU, resource: Resource) -> int:
         return 0
-
-    def may_borrow_from(self, lender: SPU, borrower: SPU) -> bool:
-        return False
 
 
 class AlwaysShare(SharingPolicy):
@@ -73,9 +59,6 @@ class AlwaysShare(SharingPolicy):
     def lendable(self, spu: SPU, resource: Resource) -> int:
         return spu.levels[resource].entitled
 
-    def may_borrow_from(self, lender: SPU, borrower: SPU) -> bool:
-        return True
-
 
 class ShareIdle(SharingPolicy):
     """Share only idle resources, with any SPU that lacks resources.
@@ -89,23 +72,3 @@ class ShareIdle(SharingPolicy):
 
     def lendable(self, spu: SPU, resource: Resource) -> int:
         return spu.levels[resource].idle
-
-    def may_borrow_from(self, lender: SPU, borrower: SPU) -> bool:
-        return True
-
-
-class ShareIdleWithSubset(ShareIdle):
-    """Share idle resources, but only with an explicit set of SPUs.
-
-    The paper notes a policy may lend "to all or a subset of the SPUs";
-    this variant implements the subset form (e.g. a project lending only
-    to its sister project).
-    """
-
-    name = "share-idle-subset"
-
-    def __init__(self, borrower_ids: Iterable[int]):
-        self._borrower_ids = frozenset(borrower_ids)
-
-    def may_borrow_from(self, lender: SPU, borrower: SPU) -> bool:
-        return borrower.spu_id in self._borrower_ids

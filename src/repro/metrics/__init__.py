@@ -1,7 +1,7 @@
 """Metrics: job statistics and report formatting."""
 
-from repro.metrics.export import to_csv, to_json, to_records
-from repro.metrics.report import format_bars, format_comparison, format_table
+from repro.metrics.export import to_records
+from repro.metrics.report import format_table
 from repro.metrics.summary import (
     DiskSummary,
     MachineReport,
@@ -31,13 +31,9 @@ __all__ = [
     "mean_response_by_spu",
     "normalize",
     "format_table",
-    "format_comparison",
-    "format_bars",
     "UtilizationSampler",
     "UtilizationSample",
     "SpuTimeline",
-    "to_csv",
-    "to_json",
     "to_records",
     "MachineReport",
     "SpuSummary",

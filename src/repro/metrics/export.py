@@ -1,18 +1,15 @@
-"""Export experiment results to CSV or JSON.
+"""Flatten experiment results into plain records.
 
-Every experiment driver returns (frozen) dataclasses; these helpers
-turn one or a collection of them into files or strings so results can
-be archived, diffed across runs, or plotted elsewhere.  Nested
+Every experiment driver returns (frozen) dataclasses; :func:`to_records`
+turns one or a collection of them into flat dicts so results can be
+archived, diffed across runs, or plotted elsewhere.  Nested
 dataclasses and dicts are flattened with dotted keys.
 """
 
 from __future__ import annotations
 
-import csv
 import dataclasses
-import io
-import json
-from typing import Any, Dict, Iterable, List, Mapping, Optional
+from typing import Any, Dict, Iterable, List, Mapping
 
 
 def _flatten(value: Any, prefix: str = "") -> Dict[str, Any]:
@@ -53,34 +50,3 @@ def to_records(results: Any) -> List[Dict[str, Any]]:
     if isinstance(results, Iterable):
         return [_flatten(row) for row in results]
     raise TypeError(f"cannot export {type(results).__name__}")
-
-
-def to_csv(results: Any, path: Optional[str] = None) -> str:
-    """Render results as CSV; optionally write to ``path``."""
-    records = to_records(results)
-    if not records:
-        raise ValueError("no records to export")
-    fields: List[str] = []
-    for record in records:
-        for key in record:
-            if key not in fields:
-                fields.append(key)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=fields)
-    writer.writeheader()
-    for record in records:
-        writer.writerow(record)
-    text = buffer.getvalue()
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text
-
-
-def to_json(results: Any, path: Optional[str] = None, indent: int = 2) -> str:
-    """Render results as JSON; optionally write to ``path``."""
-    text = json.dumps(to_records(results), indent=indent, sort_keys=True)
-    if path is not None:
-        with open(path, "w") as f:
-            f.write(text)
-    return text

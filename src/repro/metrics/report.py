@@ -28,40 +28,3 @@ def format_table(
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def format_comparison(
-    label: str, paper_value: float, measured_value: float, unit: str = ""
-) -> str:
-    """One paper-vs-measured line for EXPERIMENTS.md-style reporting."""
-    suffix = f" {unit}" if unit else ""
-    return (
-        f"{label}: paper={paper_value:g}{suffix}"
-        f" measured={measured_value:g}{suffix}"
-    )
-
-
-def format_bars(
-    labels: Sequence[str],
-    values: Sequence[float],
-    width: int = 40,
-    unit: str = "",
-    title: Optional[str] = None,
-) -> str:
-    """Render a horizontal ASCII bar chart (the paper's figures are
-    bar charts; this keeps their shape visible in terminal output)."""
-    if len(labels) != len(values):
-        raise ValueError("labels and values must be the same length")
-    if not values:
-        return title or ""
-    peak = max(values)
-    if peak <= 0:
-        raise ValueError("values must contain something positive")
-    label_width = max(len(l) for l in labels)
-    lines: List[str] = []
-    if title:
-        lines.append(title)
-    for label, value in zip(labels, values):
-        bar = "#" * max(1, round(width * value / peak))
-        lines.append(f"{label.ljust(label_width)}  {bar} {value:g}{unit}")
-    return "\n".join(lines)

@@ -1,21 +1,15 @@
 """Deterministic discrete-event simulation engine.
 
-The engine owns simulated time (integer microseconds) and a two-level
-**calendar queue**: a binary heap holding the near-term *dispatch
-window* plus an array of far-future buckets.  Events land in the
-window directly; events beyond the window horizon are appended to a
-bucket (O(1)) and only heapified when the window advances to their
-bucket.  For the workloads the simulator runs — a dense near-term
-event population fed by periodic timers, plus long-tail timeouts and
-fault injections — this keeps the per-event cost of the far tail off
-the hot dispatch path while degenerating to the plain heap when every
-event is near-term.
+The engine owns simulated time (integer microseconds) and one binary
+heap of pending events.  The queue stays shallow: across every
+experiment at most a few dozen events are pending at once, so the
+heap's O(log n) push and pop are a handful of C-level comparisons.
 
 Events scheduled for the same instant fire in scheduling order (a
 monotonically increasing sequence number breaks ties), so a run is a
 pure function of the initial configuration and the RNG seed.
 
-**Packed events.**  The queues hold ``(time, seq, kind, target, args)``
+**Packed events.**  The heap holds ``(time, seq, kind, target, args)``
 tuples.  Tuple comparison runs in C and the unique sequence number
 guarantees comparison never reaches the non-comparable tail.  Four
 kinds exist: plain calls (:meth:`Engine.call_at` /
@@ -50,20 +44,12 @@ budget the engine fires each occurrence individually.
 from __future__ import annotations
 
 import random
-from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from heapq import heappop, heappush
+from typing import Any, Callable, List, Optional, Tuple
 
-#: Far-future bucket width is ``1 << _BUCKET_SHIFT`` microseconds
-#: (~65 ms): wide enough that steady-state traffic stays in the
-#: dispatch window, narrow enough that advancing heapifies small
-#: batches.
-_BUCKET_SHIFT = 16
-
-#: Module-wide defaults for :class:`Engine`'s queue flags.  The
-#: differential test suite flips these to run whole experiments on the
-#: legacy single-heap queue or without fast-forward and prove the
-#: journals identical; production code leaves them alone.
-DEFAULT_CALENDAR = True
+#: Whether new engines fast-forward idle timers.  The differential
+#: test suite flips this to run whole experiments without fast-forward
+#: and prove the journals identical; production code leaves it alone.
 DEFAULT_FAST_FORWARD = True
 
 # Event kinds, inlined as constants in the dispatch loops.
@@ -80,19 +66,17 @@ class SimulationError(RuntimeError):
 class EventHandle:
     """A scheduled callback; cancellable until it fires."""
 
-    __slots__ = ("time", "seq", "fn", "args", "cancelled", "fired", "daemon", "_engine")
+    __slots__ = ("time", "fn", "args", "cancelled", "fired", "daemon", "_engine")
 
     def __init__(
         self,
         time: int,
-        seq: int,
         fn: Callable[..., None],
         args: tuple,
         daemon: bool,
         engine: "Engine",
     ):
         self.time = time
-        self.seq = seq
         self.fn = fn
         self.args = args
         self.daemon = daemon
@@ -111,9 +95,6 @@ class EventHandle:
             if not self.daemon:
                 self._engine._live -= 1
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         name = getattr(self.fn, "__qualname__", repr(self.fn))
@@ -130,41 +111,21 @@ class Engine:
         of randomness in a simulation must draw from :attr:`rng` (or a
         stream forked from it via :meth:`fork_rng`) so runs replay
         exactly.
-    calendar:
-        With False, the far buckets are disabled and every event lives
-        in one heap — the pre-calendar behaviour, kept selectable so
-        differential tests can prove the two produce identical runs.
-        None (the default) follows :data:`DEFAULT_CALENDAR`.
-    fast_forward:
-        With False, idle stretches of skip-capable periodic timers are
-        never elided; every occurrence fires individually.  None (the
-        default) follows :data:`DEFAULT_FAST_FORWARD`.
+
+    Idle fast-forward follows :data:`DEFAULT_FAST_FORWARD` as it
+    stands when the engine is built.
     """
 
     __slots__ = (
-        "_now", "_seq", "_near", "_far", "_far_ids", "_horizon",
-        "_live", "rng", "_seed", "_running", "_san", "_idle", "_ff",
+        "_now", "_seq", "_queue", "_live", "rng", "_seed", "_running",
+        "_san", "_idle", "_ff",
     )
 
-    def __init__(
-        self,
-        seed: int = 0,
-        calendar: Optional[bool] = None,
-        fast_forward: Optional[bool] = None,
-    ):
-        if calendar is None:
-            calendar = DEFAULT_CALENDAR
-        if fast_forward is None:
-            fast_forward = DEFAULT_FAST_FORWARD
+    def __init__(self, seed: int = 0):
         self._now = 0
         self._seq = 0
-        #: The dispatch window: a heap of entries with time < _horizon.
-        self._near: List[Tuple[int, int, int, Any, Any]] = []
-        #: Far-future buckets keyed by time >> _BUCKET_SHIFT, each an
-        #: unsorted append-only list, plus a heap of occupied bucket ids.
-        self._far: Dict[int, List[Tuple[int, int, int, Any, Any]]] = {}
-        self._far_ids: List[int] = []
-        self._horizon: Any = (1 << _BUCKET_SHIFT) if calendar else float("inf")
+        #: The pending entries, a heap ordered by (time, seq).
+        self._queue: List[Tuple[int, int, int, Any, Any]] = []
         #: Count of pending non-daemon events; run() without a deadline
         #: returns when this reaches zero.
         self._live = 0
@@ -177,7 +138,7 @@ class Engine:
         #: Idle probe: True means no component has runnable work, so
         #: skip-capable timers may fast-forward.  None disables.
         self._idle: Optional[Callable[[], bool]] = None
-        self._ff = fast_forward
+        self._ff = DEFAULT_FAST_FORWARD
 
     # --- time ------------------------------------------------------------
 
@@ -203,42 +164,15 @@ class Engine:
     # --- queue internals ---------------------------------------------------
 
     def _push(self, entry: Tuple[int, int, int, Any, Any]) -> None:
-        """File an entry in the window or a far bucket by its time."""
-        if entry[0] < self._horizon:
-            # entry is a (time, seq, ...) tuple; seq is unique, so
-            # comparison never reaches the payload.
-            heappush(self._near, entry)  # simlint: disable=SL202
-        else:
-            bid = entry[0] >> _BUCKET_SHIFT
-            bucket = self._far.get(bid)
-            if bucket is None:
-                self._far[bid] = [entry]
-                # Bucket ids are plain ints (totally ordered).
-                heappush(self._far_ids, bid)  # simlint: disable=SL202
-            else:
-                bucket.append(entry)
-
-    def _advance_window(self) -> None:
-        """Move the dispatch window to the next occupied far bucket.
-
-        Only called with the window empty, so every near entry stays
-        below every far entry and ordering is preserved.  The near list
-        object is never rebound — dispatch loops hold a local alias.
-        """
-        bid = heappop(self._far_ids)
-        near = self._near
-        near.extend(self._far.pop(bid))
-        heapify(near)
-        self._horizon = (bid + 1) << _BUCKET_SHIFT
+        """File an entry in the queue."""
+        # entry is a (time, seq, ...) tuple; seq is unique, so
+        # comparison never reaches the payload.
+        heappush(self._queue, entry)  # simlint: disable=SL202
 
     def _peek_time(self) -> Optional[int]:
         """Time of the next pending entry (dead ones included), or None."""
-        near = self._near
-        while not near:
-            if not self._far_ids:
-                return None
-            self._advance_window()
-        return near[0][0]
+        queue = self._queue
+        return queue[0][0] if queue else None
 
     # --- scheduling --------------------------------------------------------
 
@@ -252,7 +186,7 @@ class Engine:
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, daemon, self)
+        handle = EventHandle(time, fn, args, daemon, self)
         if not daemon:
             self._live += 1
         self._push((time, seq, _K_HANDLE, handle, None))
@@ -269,7 +203,7 @@ class Engine:
         time = self._now + delay
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time, seq, fn, args, daemon, self)
+        handle = EventHandle(time, fn, args, daemon, self)
         if not daemon:
             self._live += 1
         self._push((time, seq, _K_HANDLE, handle, None))
@@ -415,22 +349,15 @@ class Engine:
             raise SimulationError("engine is not re-entrant")
         self._running = True
         executed = 0
-        # The near list is never rebound (advancing extends it in
-        # place), so it can live in a local; _live and _now cannot —
-        # callbacks mutate them through self.
-        near = self._near
+        # The queue list is never rebound, so it can live in a local;
+        # _live and _now cannot — callbacks mutate them through self.
+        queue = self._queue
         pop = heappop
         try:
             if until is None and max_events is None and self._san is None:
                 # The common case, kept free of per-event branch tests.
-                while self._live:
-                    if near:
-                        time, _seq, kind, target, args = pop(near)
-                    elif self._far_ids:
-                        self._advance_window()
-                        continue
-                    else:
-                        break
+                while self._live and queue:
+                    time, _seq, kind, target, args = pop(queue)
                     if kind == _K_CALL:
                         self._now = time
                         self._live -= 1
@@ -467,25 +394,21 @@ class Engine:
                     break
                 if until is None and self._live == 0:
                     break
-                if not near:
-                    if self._far_ids:
-                        self._advance_window()
-                        continue
+                if not queue:
                     break
-                entry = near[0]
+                entry = queue[0]
                 time = entry[0]
                 kind = entry[2]
-                # Dead entries are drained even past the deadline, as
-                # the pre-calendar engine did.
+                # Dead entries are drained even past the deadline.
                 if kind == _K_HANDLE and entry[3].cancelled:
-                    pop(near)
+                    pop(queue)
                     continue
                 if kind == _K_TIMER and entry[3]._stopped:
-                    pop(near)
+                    pop(queue)
                     continue
                 if until is not None and time > until:
                     break
-                pop(near)
+                pop(queue)
                 target = entry[3]
                 if kind == _K_TIMER:
                     if ff and target._skip_fn is not None:
@@ -515,26 +438,6 @@ class Engine:
             self._running = False
         return executed
 
-    def pending(self) -> int:
-        """Number of scheduled, uncancelled events."""
-        count = 0
-        for bucket in [self._near, *self._far.values()]:
-            for entry in bucket:
-                kind = entry[2]
-                if kind == _K_HANDLE:
-                    if not entry[3].cancelled:
-                        count += 1
-                elif kind == _K_TIMER:
-                    if not entry[3]._stopped:
-                        count += 1
-                else:
-                    count += 1
-        return count
-
-    def live_events(self) -> int:
-        """Number of pending non-daemon events."""
-        return self._live
-
 
 class PeriodicTimer:
     """A repeating event; reschedules itself after each firing.
@@ -543,8 +446,7 @@ class PeriodicTimer:
     no per-period handle allocation.  The engine dispatches them via
     :meth:`_dispatch`, which fires the callback *first* and then files
     the next occurrence, so callbacks' own scheduling wins the
-    same-instant tie against the reschedule — the same order the
-    handle-based implementation produced.
+    same-instant tie against the reschedule.
     """
 
     __slots__ = (

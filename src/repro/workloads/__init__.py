@@ -25,12 +25,6 @@ from repro.workloads.scientific import (
     ocean_processes,
     simulator_process,
 )
-from repro.workloads.trace import (
-    TraceError,
-    load_trace,
-    parse_trace,
-    trace_behavior,
-)
 
 __all__ = [
     "chunks",
@@ -55,8 +49,4 @@ __all__ = [
     "bulk_sender",
     "burst_latencies_ms",
     "percentile",
-    "TraceError",
-    "parse_trace",
-    "trace_behavior",
-    "load_trace",
 ]

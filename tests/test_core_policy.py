@@ -7,74 +7,36 @@ from repro.core import (
     NeverShare,
     Resource,
     ShareIdle,
-    ShareIdleWithSubset,
     SPURegistry,
 )
 
 
 @pytest.fixture
-def spus():
-    registry = SPURegistry()
-    a = registry.create("a")
-    b = registry.create("b")
-    c = registry.create("c")
-    for spu in (a, b, c):
-        spu.memory().set_entitled(100)
-    a.memory().acquire(40)
-    return a, b, c
+def spu():
+    spu = SPURegistry().create("a")
+    spu.memory().set_entitled(100)
+    spu.memory().acquire(40)
+    return spu
 
 
 class TestNeverShare:
-    def test_lends_nothing(self, spus):
-        a, _b, _c = spus
-        assert NeverShare().lendable(a, Resource.MEMORY) == 0
-
-    def test_accepts_no_borrowers(self, spus):
-        a, b, _c = spus
-        assert NeverShare().select_borrowers(a, [b]) == []
+    def test_lends_nothing(self, spu):
+        assert NeverShare().lendable(spu, Resource.MEMORY) == 0
 
 
 class TestAlwaysShare:
-    def test_lends_full_entitlement_even_when_busy(self, spus):
-        a, _b, _c = spus
-        assert AlwaysShare().lendable(a, Resource.MEMORY) == 100
-
-    def test_accepts_everyone(self, spus):
-        a, b, c = spus
-        assert AlwaysShare().select_borrowers(a, [a, b, c]) == [b, c]
+    def test_lends_full_entitlement_even_when_busy(self, spu):
+        assert AlwaysShare().lendable(spu, Resource.MEMORY) == 100
 
 
 class TestShareIdle:
-    def test_lends_only_idle_entitlement(self, spus):
-        a, _b, _c = spus
-        assert ShareIdle().lendable(a, Resource.MEMORY) == 60
+    def test_lends_only_idle_entitlement(self, spu):
+        assert ShareIdle().lendable(spu, Resource.MEMORY) == 60
 
-    def test_lends_nothing_when_fully_used(self, spus):
-        a, _b, _c = spus
-        a.memory().acquire(60)
-        assert ShareIdle().lendable(a, Resource.MEMORY) == 0
+    def test_lends_nothing_when_fully_used(self, spu):
+        spu.memory().acquire(60)
+        assert ShareIdle().lendable(spu, Resource.MEMORY) == 0
 
-    def test_borrowed_headroom_is_not_lendable(self, spus):
-        a, _b, _c = spus
-        a.memory().set_allowed(150)
-        assert ShareIdle().lendable(a, Resource.MEMORY) == 60
-
-    def test_accepts_everyone(self, spus):
-        a, b, c = spus
-        assert ShareIdle().select_borrowers(a, [b, c]) == [b, c]
-
-    def test_never_selects_self(self, spus):
-        a, _b, _c = spus
-        assert ShareIdle().select_borrowers(a, [a]) == []
-
-
-class TestShareIdleWithSubset:
-    def test_only_listed_spus_borrow(self, spus):
-        a, b, c = spus
-        policy = ShareIdleWithSubset([b.spu_id])
-        assert policy.select_borrowers(a, [b, c]) == [b]
-
-    def test_lends_idle_like_parent(self, spus):
-        a, b, _c = spus
-        policy = ShareIdleWithSubset([b.spu_id])
-        assert policy.lendable(a, Resource.MEMORY) == 60
+    def test_borrowed_headroom_is_not_lendable(self, spu):
+        spu.memory().set_allowed(150)
+        assert ShareIdle().lendable(spu, Resource.MEMORY) == 60

@@ -1,10 +1,14 @@
-"""Differential determinism: calendar queue and fast-forward vs legacy.
+"""Differential determinism: idle fast-forward on vs off, and queue order.
 
-The calendar-queue scheduler and the idle fast-forward are pure
-performance features — every experiment must produce *byte-identical*
-results with them on or off.  These tests run real experiments under
-all engine configurations and compare canonical JSON, plus engine-level
-same-tick FIFO regressions for the packed event structs.
+Idle fast-forward is a pure performance feature — every experiment
+must produce *byte-identical* results with it on or off.  These tests
+run real experiments both ways and compare canonical JSON, plus
+engine-level ordering regressions for the packed event heap.
+
+The golden gate (``tests/test_golden_outputs.py``) and the corpus pins
+(``tests/test_golden_corpus.py``) are the whole-run proof of queue
+order: they pin every experiment, fuzz, fleet-fuzz and chaos run
+byte for byte.
 """
 
 import pytest
@@ -17,65 +21,41 @@ from repro.sim.engine import Engine
 SECTIONS = ("fig5", "table4", "network")
 SEEDS = (0, 1)
 
-#: (calendar, fast_forward) engine configurations under test; the
-#: fourth combination (heap + fast-forward) is also valid but adds
-#: little — fast-forward elision is queue-structure independent.
-CONFIGS = [
-    pytest.param(True, True, id="calendar+ff"),
-    pytest.param(True, False, id="calendar"),
-    pytest.param(False, False, id="heap"),
-]
 
-
-def _canonical(section: str, seed: int, monkeypatch, calendar: bool,
-               fast_forward: bool) -> str:
-    monkeypatch.setattr(engine_mod, "DEFAULT_CALENDAR", calendar)
-    monkeypatch.setattr(engine_mod, "DEFAULT_FAST_FORWARD", fast_forward)
-    return run_experiment(
-        ExperimentSpec(name=section, seed=seed)
-    ).canonical_json()
+def _canonical(section: str, seed: int) -> str:
+    return run_experiment(ExperimentSpec(name=section, seed=seed)).canonical_json()
 
 
 @pytest.fixture(scope="module")
 def reference():
-    """Canonical JSON per (section, seed) with both features enabled."""
-    assert engine_mod.DEFAULT_CALENDAR and engine_mod.DEFAULT_FAST_FORWARD
+    """Canonical JSON per (section, seed) with fast-forward enabled."""
+    assert engine_mod.DEFAULT_FAST_FORWARD
     return {
-        (section, seed): run_experiment(
-            ExperimentSpec(name=section, seed=seed)
-        ).canonical_json()
+        (section, seed): _canonical(section, seed)
         for section in SECTIONS
         for seed in SEEDS
     }
 
 
-@pytest.mark.parametrize("calendar,fast_forward", CONFIGS[1:])
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("section", SECTIONS)
-def test_experiments_byte_identical_across_engines(
-    section, seed, calendar, fast_forward, reference, monkeypatch
+def test_experiments_byte_identical_without_fast_forward(
+    section, seed, reference, monkeypatch
 ):
-    got = _canonical(section, seed, monkeypatch, calendar, fast_forward)
+    monkeypatch.setattr(engine_mod, "DEFAULT_FAST_FORWARD", False)
+    got = _canonical(section, seed)
     assert got == reference[(section, seed)], (
-        f"{section} seed {seed} diverged under"
-        f" calendar={calendar} fast_forward={fast_forward}"
+        f"{section} seed {seed} diverged without fast-forward"
     )
 
 
-# --- engine-level same-tick FIFO regressions -------------------------------
+# --- engine-level ordering regressions -------------------------------------
 
 
-def _trace_engine(calendar: bool, fast_forward: bool = False):
-    eng = Engine(seed=0, calendar=calendar, fast_forward=fast_forward)
-    trace = []
-    return eng, trace
-
-
-@pytest.mark.parametrize("calendar", [True, False], ids=["calendar", "heap"])
-def test_same_tick_fifo_across_event_kinds(calendar):
+def test_same_tick_fifo_across_event_kinds():
     """Packed calls, handles, and timer fires at one time run in
     schedule order, whatever mix of kinds is involved."""
-    eng, trace = _trace_engine(calendar)
+    eng, trace = Engine(seed=0), []
     eng.call_at(100, trace.append, "call-first")
     eng.at(100, trace.append, "handle-second")
     timer = eng.every(100, trace.append, "timer-third", start=100)
@@ -86,11 +66,10 @@ def test_same_tick_fifo_across_event_kinds(calendar):
                      "call-fourth"]
 
 
-@pytest.mark.parametrize("calendar", [True, False], ids=["calendar", "heap"])
-def test_same_tick_fifo_for_events_scheduled_during_dispatch(calendar):
+def test_same_tick_fifo_for_events_scheduled_during_dispatch():
     """Events scheduled *while dispatching* the current time run after
     everything already queued at that time, in schedule order."""
-    eng, trace = _trace_engine(calendar)
+    eng, trace = Engine(seed=0), []
 
     def first():
         trace.append("first")
@@ -103,27 +82,26 @@ def test_same_tick_fifo_for_events_scheduled_during_dispatch(calendar):
     assert trace == ["first", "second", "nested-a", "nested-b"]
 
 
-def test_fifo_across_calendar_bucket_boundary():
-    """Order survives the near/far window advance: events straddling a
-    bucket boundary (t = k << 16) run in (time, schedule-order)."""
-    eng, trace = _trace_engine(True)[0], []
-    boundary = 1 << 16
-    for t in (boundary - 1, boundary, boundary + 1):
+def test_fifo_across_neighbouring_instants():
+    """Events one microsecond apart, two per instant, run in
+    (time, schedule-order)."""
+    eng, trace = Engine(seed=0), []
+    base = 1000
+    for t in (base - 1, base, base + 1):
         eng.call_at(t, trace.append, f"{t}-a")
         eng.call_at(t, trace.append, f"{t}-b")
     eng.run()
     assert trace == [
-        f"{boundary - 1}-a", f"{boundary - 1}-b",
-        f"{boundary}-a", f"{boundary}-b",
-        f"{boundary + 1}-a", f"{boundary + 1}-b",
+        f"{base - 1}-a", f"{base - 1}-b",
+        f"{base}-a", f"{base}-b",
+        f"{base + 1}-a", f"{base + 1}-b",
     ]
 
 
-def test_fifo_far_future_events_many_buckets_out():
-    """Events many buckets out come back in schedule order, including
-    interleaved near-term work."""
-    eng = Engine(seed=0, calendar=True)
-    trace = []
+def test_fifo_far_future_events_scheduled_out_of_order():
+    """Events scheduled out of time order, far apart and with repeated
+    instants, come back in (time, schedule-order)."""
+    eng, trace = Engine(seed=0), []
     times = [5, (3 << 16) + 7, (1 << 16), 12, (7 << 16) + 1, (3 << 16) + 7]
     for i, t in enumerate(times):
         eng.call_at(t, trace.append, (t, i))
@@ -132,11 +110,10 @@ def test_fifo_far_future_events_many_buckets_out():
     assert len(trace) == len(times)
 
 
-@pytest.mark.parametrize("calendar", [True, False], ids=["calendar", "heap"])
-def test_timer_fire_and_same_tick_call_order(calendar):
+def test_timer_fire_and_same_tick_call_order():
     """A periodic timer's next occurrence is scheduled when it fires, so
     a call_at() for the next tick made *before* boot still runs first."""
-    eng, trace = _trace_engine(calendar)
+    eng, trace = Engine(seed=0), []
     eng.every(10, trace.append, "timer", start=10)
     eng.call_at(20, trace.append, "call-at-20")
     eng.run(until=20)
@@ -146,7 +123,7 @@ def test_timer_fire_and_same_tick_call_order(calendar):
 def test_fast_forward_lands_on_exact_occurrence_grid():
     """Elided occurrences land the timer exactly on its period grid and
     count as executed events."""
-    eng = Engine(seed=0, calendar=True, fast_forward=True)
+    eng = Engine(seed=0)
     fires = []
     skips = []
     eng.set_idle_probe(lambda: True)
@@ -164,7 +141,7 @@ def test_fast_forward_lands_on_exact_occurrence_grid():
 def test_fast_forward_never_elides_same_tick_work():
     """An event at the timer's own fire time always runs; fast-forward
     only jumps across *strictly* idle gaps."""
-    eng = Engine(seed=0, calendar=True, fast_forward=True)
+    eng = Engine(seed=0)
     trace = []
     eng.set_idle_probe(lambda: True)
     eng.every(10, lambda: trace.append(("tick", eng.now)), start=10,

@@ -7,7 +7,6 @@ from repro.disk.model import fast_disk
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, Spawn, WaitChildren
 from repro.metrics import (
     MetricsError,
-    format_comparison,
     format_table,
     job_results,
     mean_response_by_spu,
@@ -115,8 +114,3 @@ class TestFormatting:
     def test_empty_rows(self):
         out = format_table(["a", "b"], [])
         assert "a" in out
-
-    def test_comparison_line(self):
-        line = format_comparison("pmake", 13.5, 8.2, unit="s")
-        assert "paper=13.5 s" in line
-        assert "measured=8.2 s" in line

@@ -1,11 +1,13 @@
 """Tests for machine run summaries."""
 
+import json
+
 import pytest
 
 from repro.core import piso_scheme
 from repro.disk.model import fast_disk
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, ReadFile
-from repro.metrics import format_report, machine_report, to_json
+from repro.metrics import format_report, machine_report, to_records
 from repro.sim.units import KB, msecs
 
 
@@ -77,5 +79,5 @@ class TestMachineReport:
 
     def test_report_exports_to_json(self, finished_kernel):
         kernel, _a, _b = finished_kernel
-        text = to_json(machine_report(kernel))
+        text = json.dumps(to_records(machine_report(kernel)))
         assert '"cpu_utilization"' in text

@@ -11,7 +11,6 @@ import pytest
 from repro.core import SHARED_SPU_ID, piso_scheme
 from repro.disk.model import fast_disk
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, ReadFile
-from repro.metrics import format_bars
 from repro.sim.units import KB, msecs
 
 
@@ -85,24 +84,3 @@ class TestSharedLibraryPages:
         kernel.spawn(reader(libc), spu_b)
         kernel.run()
         assert kernel.drives[0].stats.count() == requests_before
-
-
-class TestFormatBars:
-    def test_renders_scaled_bars(self):
-        out = format_bars(["SMP", "PIso"], [156.0, 100.0], width=10)
-        lines = out.splitlines()
-        assert lines[0].count("#") == 10
-        assert lines[1].count("#") == round(10 * 100 / 156)
-
-    def test_title_and_unit(self):
-        out = format_bars(["x"], [5.0], title="T", unit="%")
-        assert out.splitlines()[0] == "T"
-        assert "5%" in out
-
-    def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError):
-            format_bars(["a"], [1.0, 2.0])
-
-    def test_nonpositive_peak_rejected(self):
-        with pytest.raises(ValueError):
-            format_bars(["a"], [0.0])
