@@ -9,6 +9,7 @@ their own CPU/memory/disk sizes per Table 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -16,6 +17,7 @@ from repro.core.contracts import EqualShareContract, SharingContract
 from repro.core.schemes import DiskSchedPolicy, SchemeConfig, smp_scheme
 from repro.disk.model import DiskGeometry, fast_disk
 from repro.kernel.overload import OverloadPolicy
+from repro.net.schedulers import make_link_scheduler
 from repro.sim.units import MB, PAGE_SIZE
 
 
@@ -51,8 +53,18 @@ class NicSpec:
     threshold: float = 16384.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise ValueError("NIC rate must be positive")
+        # Written as ``not`` a comparison so NaN, which fails every
+        # comparison, is rejected too; an infinite rate sends in zero
+        # time.
+        if not 0 < self.bandwidth_mbps < math.inf:
+            raise ValueError(
+                f"NIC bandwidth_mbps must be positive and finite,"
+                f" got {self.bandwidth_mbps}"
+            )
+        # Checked under every policy, not only the one that reads it.
+        if not self.threshold >= 0:
+            raise ValueError(f"NIC threshold must be >= 0, got {self.threshold}")
+        make_link_scheduler(self.policy, self.threshold)  # unknown policy raises
 
 
 @dataclass(frozen=True)

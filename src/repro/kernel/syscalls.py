@@ -94,6 +94,9 @@ class SendNetwork:
     def __post_init__(self) -> None:
         if self.nbytes <= 0:
             raise ValueError(f"message must carry >= 1 byte, got {self.nbytes}")
+        # A negative index would silently pick a NIC from the end.
+        if self.nic < 0:
+            raise ValueError(f"nic must be >= 0, got {self.nic}")
 
 
 @dataclass(frozen=True)

@@ -9,14 +9,16 @@ so that fair scheduling can interleave senders mid-message.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+import math
+from collections import deque
+from typing import Callable, Deque, Dict, Optional
 
 from repro.core.accounting import DecayedCounter
 from repro.core.spu import SPURegistry
 from repro.net.packet import LinkStats, MTU_BYTES, NetOp, Packet
 from repro.net.schedulers import LinkScheduler
 from repro.sim.engine import Engine
-from repro.sim.units import MSEC, SEC
+from repro.sim.units import MSEC
 
 
 class NetByteLedger:
@@ -46,7 +48,13 @@ class NetByteLedger:
 
 
 class NetworkLink:
-    """One serial link with a queue and a scheduling policy."""
+    """One serial link with a FIFO per sending SPU and a scheduling policy.
+
+    Every scheduler serves an SPU's packets in arrival order, so only
+    each SPU's oldest packet can be picked: :meth:`_start_next` hands the
+    scheduler those heads, O(queued SPUs) per packet.  ``fifos`` holds
+    only non-empty deques, keyed by SPU.
+    """
 
     def __init__(
         self,
@@ -57,15 +65,20 @@ class NetworkLink:
         per_packet_overhead_us: int = 10,
         link_id: int = 0,
     ):
-        if bandwidth_mbps <= 0:
-            raise ValueError("link rate must be positive")
+        # Written as ``not 0 < x < inf`` so NaN, which fails every
+        # comparison, is rejected too; infinity would send in zero time.
+        if not 0 < bandwidth_mbps < math.inf:
+            raise ValueError(
+                f"bandwidth_mbps must be positive and finite, got {bandwidth_mbps}"
+            )
         self.engine = engine
         self.scheduler = scheduler
         self.ledger = ledger
         self.bandwidth_mbps = bandwidth_mbps
         self.per_packet_overhead_us = per_packet_overhead_us
         self.link_id = link_id
-        self.queue: List[Packet] = []
+        self.fifos: Dict[int, Deque[Packet]] = {}
+        self._queued = 0
         self.stats = LinkStats()
         self.busy = False
 
@@ -84,39 +97,44 @@ class NetworkLink:
     ) -> int:
         """Queue a message; fragments to MTU-sized packets.
 
-        ``on_complete`` fires when the *last* fragment finishes.
-        Returns the number of packets queued.
+        ``on_complete`` fires when the *last* fragment finishes; it
+        rides on that fragment, because an SPU's packets leave in
+        order.  Returns the number of packets queued.
         """
         if nbytes <= 0:
             raise ValueError(f"message must carry >= 1 byte, got {nbytes}")
         sizes = [MTU_BYTES] * (nbytes // MTU_BYTES)
         if nbytes % MTU_BYTES:
             sizes.append(nbytes % MTU_BYTES)
-        remaining = {"count": len(sizes)}
-
-        def fragment_done(_packet: Packet) -> None:
-            remaining["count"] -= 1
-            if remaining["count"] == 0 and on_complete is not None:
-                on_complete()  # simlint: dynamic=continuation
-
-        for size in sizes:
-            self._enqueue(Packet(spu_id, NetOp.SEND, size,
-                                 on_complete=fragment_done, pid=pid))
+        for size in sizes[:-1]:
+            self._enqueue(Packet(spu_id, NetOp.SEND, size, pid=pid))
+        self._enqueue(Packet(spu_id, NetOp.SEND, sizes[-1],
+                             on_complete=on_complete, pid=pid))
         return len(sizes)
 
     def _enqueue(self, packet: Packet) -> None:
         packet.enqueue_time = self.engine.now
-        self.queue.append(packet)
+        fifo = self.fifos.get(packet.spu_id)
+        if fifo is None:
+            self.fifos[packet.spu_id] = deque((packet,))
+        else:
+            fifo.append(packet)
+        self._queued += 1
         if not self.busy:
             self._start_next()
 
     def _start_next(self) -> None:
-        if not self.queue:
+        if not self.fifos:
             self.busy = False
             return
         self.busy = True
-        packet = self.scheduler.select(self.queue, self.engine.now, self.ledger)
-        self.queue.remove(packet)
+        heads = [fifo[0] for fifo in self.fifos.values()]
+        packet = self.scheduler.select(heads, self.engine.now, self.ledger)
+        fifo = self.fifos[packet.spu_id]
+        fifo.popleft()
+        if not fifo:
+            del self.fifos[packet.spu_id]
+        self._queued -= 1
         packet.start_time = self.engine.now
         self.engine.call_after(self.transmit_us(packet.nbytes), self._complete, packet)
 
@@ -126,7 +144,30 @@ class NetworkLink:
         self.stats.record(packet)
         self._start_next()
         if packet.on_complete is not None:
-            packet.on_complete(packet)  # simlint: dynamic=callback-field
+            packet.on_complete()  # simlint: dynamic=continuation
 
     def queue_depth(self) -> int:
-        return len(self.queue)
+        return self._queued
+
+    def index_drift(self) -> Optional[str]:
+        """Where the FIFOs break their invariants; ``None`` if nowhere.
+
+        Each FIFO must be non-empty, hold only its SPU's packets in
+        strictly increasing ``packet_id``, and the FIFOs together must
+        hold ``queue_depth()`` packets.  SIMSAN's ``link-index`` law
+        calls this after events.
+        """
+        total = 0
+        for spu_id, fifo in self.fifos.items():
+            if not fifo:
+                return f"link {self.link_id}: SPU {spu_id}'s FIFO is empty"
+            if any(p.spu_id != spu_id for p in fifo):
+                return f"link {self.link_id}: SPU {spu_id}'s FIFO holds another SPU's packet"
+            ids = [p.packet_id for p in fifo]
+            if any(a >= b for a, b in zip(ids, ids[1:])):
+                return f"link {self.link_id}: SPU {spu_id}'s FIFO is out of arrival order"
+            total += len(fifo)
+        if total != self.queue_depth():
+            return (f"link {self.link_id}: FIFOs hold {total} packets,"
+                    f" queue_depth() says {self.queue_depth()}")
+        return None

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, Dict, Optional
 
 
 class NetOp(enum.Enum):
@@ -33,7 +33,9 @@ class Packet:
     spu_id: int
     op: NetOp
     nbytes: int
-    on_complete: Optional[Callable[["Packet"], None]] = None
+    #: Fires when the packet has left the wire; the link sets it on a
+    #: message's last fragment only.
+    on_complete: Optional[Callable[[], None]] = None
     pid: int = -1
     packet_id: int = field(default_factory=lambda: next(_packet_ids))
 
@@ -62,25 +64,36 @@ class Packet:
 
 @dataclass
 class LinkStats:
-    """Aggregated statistics over transmitted packets."""
+    """Per-SPU totals over transmitted packets.
 
-    completed: List[Packet] = field(default_factory=list)
+    Integer sums, not a list of packets, so a link's memory is bounded
+    by its queue rather than by everything it ever sent.
+    """
+
+    packets: Dict[int, int] = field(default_factory=dict)
+    nbytes: Dict[int, int] = field(default_factory=dict)
+    wait_us: Dict[int, int] = field(default_factory=dict)
 
     def record(self, packet: Packet) -> None:
-        self.completed.append(packet)
+        spu_id = packet.spu_id
+        self.packets[spu_id] = self.packets.get(spu_id, 0) + 1
+        self.nbytes[spu_id] = self.nbytes.get(spu_id, 0) + packet.nbytes
+        self.wait_us[spu_id] = self.wait_us.get(spu_id, 0) + packet.wait_us
 
-    def for_spu(self, spu_id: int) -> List[Packet]:
-        return [p for p in self.completed if p.spu_id == spu_id]
+    @staticmethod
+    def _total(per_spu: Dict[int, int], spu_id: Optional[int]) -> int:
+        if spu_id is None:
+            return sum(per_spu.values())
+        return per_spu.get(spu_id, 0)
 
     def mean_wait_ms(self, spu_id: Optional[int] = None) -> float:
-        packets = self.completed if spu_id is None else self.for_spu(spu_id)
-        if not packets:
+        count = self.count(spu_id)
+        if not count:
             return 0.0
-        return sum(p.wait_us for p in packets) / len(packets) / 1000.0
+        return self._total(self.wait_us, spu_id) / count / 1000.0
 
     def total_bytes(self, spu_id: Optional[int] = None) -> int:
-        packets = self.completed if spu_id is None else self.for_spu(spu_id)
-        return sum(p.nbytes for p in packets)
+        return self._total(self.nbytes, spu_id)
 
     def count(self, spu_id: Optional[int] = None) -> int:
-        return len(self.completed if spu_id is None else self.for_spu(spu_id))
+        return self._total(self.packets, spu_id)

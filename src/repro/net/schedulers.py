@@ -33,7 +33,11 @@ class LinkScheduler(abc.ABC):
     def select(
         self, queue: Sequence[Packet], now: int, ledger: ByteLedger
     ) -> Packet:
-        """Pick one packet from a non-empty queue."""
+        """Pick one packet from a non-empty queue.
+
+        The link passes only each queued SPU's oldest packet: every
+        policy here serves an SPU's packets in arrival order.
+        """
 
 
 class FifoLinkScheduler(LinkScheduler):
@@ -74,8 +78,8 @@ class ThresholdFairLinkScheduler(LinkScheduler):
     name = "threshold"
 
     def __init__(self, threshold: float):
-        if threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        if not threshold >= 0:  # NaN fails too
+            raise ValueError(f"threshold must be >= 0, got {threshold}")
         self.threshold = threshold
 
     def select(self, queue, now, ledger):

@@ -20,6 +20,8 @@ re-derives the kernel's conservation laws after events:
   SPU ledgers equal the sectors moved by successful completions;
 * **cache index** — the buffer cache's per-SPU LRU dicts and its dirty
   index agree with its blocks;
+* **link index** — every network link's per-SPU FIFOs hold only their
+  SPU's packets, in arrival order, and add up to its queue depth;
 * **memory settled** — while the memory-sharing daemon would skip its
   pass (no denials pending, no page count moved since its last full
   pass), every active user SPU's memory ``entitled`` is already the
@@ -197,6 +199,12 @@ class SimSanitizer:
         drift = kernel.fs.cache.index_drift()
         if drift is not None:
             self._fail("cache-index", drift)
+
+        # Link index: each NIC's per-SPU FIFOs, re-derived likewise.
+        for link in kernel.links:
+            drift = link.index_drift()
+            if drift is not None:
+                self._fail("link-index", drift)
 
         # Memory settled: a pass the daemon skips must be a no-op, so
         # re-derive what it would set and check it already holds.

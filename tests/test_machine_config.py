@@ -1,5 +1,7 @@
 """MachineConfig validation: nonsensical machines fail at construction."""
 
+import math
+
 import pytest
 
 from repro.kernel import DiskSpec, Kernel, MachineConfig
@@ -56,7 +58,19 @@ class TestMachineConfigValidation:
             DiskSpec(swap_sectors=geometry.total_sectors)
 
     def test_nic_spec_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bandwidth_mbps"):
             NicSpec(bandwidth_mbps=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="bandwidth_mbps"):
             NicSpec(bandwidth_mbps=-10.0)
+
+    @pytest.mark.parametrize("kwargs, field_name", [
+        ({"bandwidth_mbps": math.nan}, "bandwidth_mbps"),
+        ({"bandwidth_mbps": math.inf}, "bandwidth_mbps"),
+        ({"policy": "threshold", "threshold": math.nan}, "threshold"),
+        ({"policy": "threshold", "threshold": -1.0}, "threshold"),
+        ({"policy": "fair", "threshold": -1.0}, "threshold"),
+        ({"policy": "wrr"}, "policy"),
+    ])
+    def test_nic_spec_rejects_bad_field(self, kwargs, field_name):
+        with pytest.raises(ValueError, match=field_name):
+            NicSpec(**kwargs)

@@ -1,13 +1,16 @@
 """SIMSAN tests: env gating, corruption detection, and the guarantee
 that enabling the sanitizer never changes simulated behaviour."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.chaos import generate_plan, run_chaos
 from repro.core import piso_scheme
 from repro.disk.drive import SpuBandwidthLedger
 from repro.disk.model import fast_disk
-from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, WriteFile
+from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, NicSpec, WriteFile
+from repro.net import MTU_BYTES
 from repro.sanitizer import (
     ENV_ENABLE,
     ENV_EVERY,
@@ -191,6 +194,22 @@ class TestCorruptionDetection:
 
         san = self.corrupted(mutate, run=True)
         with pytest.raises(SanitizerError, match="cache-index"):
+            san.check()
+
+    def test_link_index_drift(self):
+        kernel = Kernel(replace(machine(), nics=[NicSpec()]))
+        a, b = kernel.create_spu("a"), kernel.create_spu("b")
+        kernel.boot()
+        link = kernel.links[0]
+        link.send(a.spu_id, 3 * MTU_BYTES)  # the first packet goes on the wire
+        link.send(b.spu_id, 3 * MTU_BYTES)
+        san = SimSanitizer(kernel)
+        san.check()
+        link.fifos[a.spu_id].append(link.fifos[b.spu_id].popleft())
+        with pytest.raises(
+            SanitizerError,
+            match=f"link-index: link 0: SPU {a.spu_id}'s FIFO holds another SPU's packet",
+        ):
             san.check()
 
     def test_memory_settled_drift(self):
