@@ -70,7 +70,7 @@ class CpuScheduler:
     """Run queues plus the pick/lend/revoke logic."""
 
     __slots__ = (
-        "scheme", "partition", "processors", "_queues",
+        "scheme", "partition", "processors", "_queues", "_nwaiting",
         "loans_granted", "loans_revoked", "eligibility",
     )
 
@@ -85,8 +85,11 @@ class CpuScheduler:
         self.scheme = scheme
         self.partition = partition
         self.processors = [Processor(i) for i in range(ncpus)]
-        #: Waiting (runnable but not running) processes per SPU.
+        #: Waiting (runnable but not running) processes per SPU.  Only
+        #: enqueue, dequeue and the _pop_* helpers touch the queues, and
+        #: each keeps _nwaiting, their total, in step.
         self._queues: Dict[int, List[SchedulableProcess]] = {}
+        self._nwaiting = 0
         #: Loan/revocation counters for reporting.
         self.loans_granted = 0
         self.loans_revoked = 0
@@ -106,17 +109,41 @@ class CpuScheduler:
         if proc in queue:
             raise ValueError(f"process {proc.pid} already queued")
         queue.append(proc)
+        self._nwaiting += 1
 
     def dequeue(self, proc: SchedulableProcess) -> None:
         """Remove a process from its queue (e.g. on kill)."""
         queue = self._queues.get(proc.spu_id, [])
         if proc in queue:
             queue.remove(proc)
+            self._nwaiting -= 1
 
     def waiting(self, spu_id: Optional[int] = None) -> int:
         if spu_id is not None:
             return len(self._queues.get(spu_id, []))
-        return sum(len(q) for q in self._queues.values())
+        return self._nwaiting
+
+    def index_drift(self) -> Optional[str]:
+        """Where the run queues break their invariants; ``None`` if nowhere.
+
+        The waiting count must equal the processes in the queues, and
+        each queued process must appear once, in its own SPU's queue.
+        SIMSAN's ``runqueue`` law calls this after events.
+        """
+        queued = set()
+        total = 0
+        for spu_id, queue in self._queues.items():
+            for proc in queue:
+                if proc.spu_id != spu_id:
+                    return (f"process {proc.pid} of SPU {proc.spu_id} is"
+                            f" queued on SPU {spu_id}")
+                if proc.pid in queued:
+                    return f"process {proc.pid} is queued twice"
+                queued.add(proc.pid)
+            total += len(queue)
+        if total != self._nwaiting:
+            return f"waiting count is {self._nwaiting}, the queues hold {total}"
+        return None
 
     def _best(self, procs: List[SchedulableProcess], now: int) -> SchedulableProcess:
         # Equivalent to min() keyed on (priority.effective(now), pid),
@@ -167,6 +194,7 @@ class CpuScheduler:
             return None
         best = self._best(queue, now)
         self._queues[spu_id].remove(best)
+        self._nwaiting -= 1
         return best
 
     def _pop_best_foreign(self, home: Optional[int], now: int) -> Optional[SchedulableProcess]:
@@ -178,6 +206,7 @@ class CpuScheduler:
             return None
         best = self._best(candidates, now)
         self._queues[best.spu_id].remove(best)
+        self._nwaiting -= 1
         return best
 
     # --- dispatch decisions -----------------------------------------------------
@@ -191,6 +220,10 @@ class CpuScheduler:
         """Choose the next process for an idle CPU (marks it running)."""
         if not cpu.idle:
             raise ValueError(f"cpu{cpu.cpu_id} is not idle")
+        if not self._nwaiting:
+            # Nothing queued: every branch below would find no candidate
+            # and touch no priority, so skip the queue walks.
+            return None
         if not self.scheme.cpu_partitioned:
             proc = self._pop_best_foreign(home=None, now=now)
             loan = False

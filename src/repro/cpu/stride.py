@@ -101,9 +101,11 @@ class StrideCpuScheduler(CpuScheduler):
     def pick(self, cpu: Processor, now: int) -> Optional[SchedulableProcess]:
         if not cpu.idle:
             raise ValueError(f"cpu{cpu.cpu_id} is not idle")
-        backlogged = [spu for spu in self._pass if self.waiting(spu)]
-        if not backlogged:
+        if not self._nwaiting:
             return None
+        # Only ticketed SPUs can queue (enqueue checks), so some SPU in
+        # _pass is backlogged.
+        backlogged = [spu for spu in self._pass if self.waiting(spu)]
         chosen = min(backlogged, key=lambda s: (self._pass[s], s))
         proc = self._pop_best(chosen, now)
         cpu.running = proc

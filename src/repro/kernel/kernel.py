@@ -763,21 +763,31 @@ class Kernel:  # simlint: disable=SL401
                 return
             value = None
 
-            if isinstance(op, Compute):
+            # Dispatch on the op's exact class, the per-burst ops first:
+            # an identity test is cheaper than isinstance, and no op
+            # class is subclassed (an instance of a subclass is an
+            # unknown op).  Like the dispatch path below, the hot arms
+            # read the engine's clock field rather than Engine.now.
+            kind = type(op)
+            if kind is Compute:
                 proc.pending_compute = op.duration_us
                 self._make_runnable(proc)
                 return
-            if isinstance(op, SetWorkingSet):
+            if kind is Checkpoint:
+                proc.checkpoints.append((op.label, self.engine._now))
+                continue
+            if kind is Sleep:
+                proc.state = ProcessState.BLOCKED
+                self.engine.call_after(op.duration_us, self._resume, proc)
+                return
+            if kind is SetWorkingSet:
                 self._set_working_set(proc, op)
                 continue
-            if isinstance(op, Checkpoint):
-                proc.checkpoints.append((op.label, self.engine.now))
-                continue
-            if isinstance(op, (ReadFile, WriteFile, WriteMetadata)):
+            if kind is ReadFile or kind is WriteFile or kind is WriteMetadata:
                 proc.state = ProcessState.BLOCKED
                 self._admit_io(proc, op, self.engine.now, throttled=False)
                 return
-            if isinstance(op, SendNetwork):
+            if kind is SendNetwork:
                 try:
                     link = self.links[op.nic]
                 except IndexError:
@@ -788,11 +798,7 @@ class Kernel:  # simlint: disable=SL401
                     on_complete=partial(self._resume, proc), pid=proc.pid,
                 )
                 return
-            if isinstance(op, Sleep):
-                proc.state = ProcessState.BLOCKED
-                self.engine.call_after(op.duration_us, self._resume, proc)
-                return
-            if isinstance(op, Spawn):
+            if kind is Spawn:
                 spu = self.registry.get(proc.spu_id)
                 if not self._admit_spawn(spu):
                     # Per-SPU process limit: the spawn fails (-1) after
@@ -818,13 +824,13 @@ class Kernel:  # simlint: disable=SL401
                 proc.children.add(child.pid)
                 value = child.pid
                 continue
-            if isinstance(op, WaitChildren):
+            if kind is WaitChildren:
                 if self._children_done(proc):
                     continue
                 proc.waiting_for_children = True
                 proc.state = ProcessState.BLOCKED
                 return
-            if isinstance(op, BarrierWait):
+            if kind is BarrierWait:
                 if op.spin:
                     self._spin_barrier(proc, op)
                 else:
@@ -833,12 +839,12 @@ class Kernel:  # simlint: disable=SL401
                     for resume in released:
                         resume()  # simlint: dynamic=continuation
                 return
-            if isinstance(op, Acquire):
+            if kind is Acquire:
                 if op.lock.acquire(proc, op.shared, partial(self._resume, proc)):
                     continue
                 proc.state = ProcessState.BLOCKED
                 return
-            if isinstance(op, Release):
+            if kind is Release:
                 for grant in op.lock.release(proc):
                     grant()  # simlint: dynamic=continuation
                 continue
@@ -914,12 +920,13 @@ class Kernel:  # simlint: disable=SL401
             return
         self._io_inflight[spu_id] = self._io_inflight.get(spu_id, 0) + 1
         done = partial(self._io_done, proc, spu_id)
-        if isinstance(op, ReadFile):
+        kind = type(op)
+        if kind is ReadFile:
             self.fs.read(proc.pid, spu_id, op.file, op.offset, op.nbytes, done)
-        elif isinstance(op, WriteFile):
+        elif kind is WriteFile:
             self.fs.write(proc.pid, spu_id, op.file, op.offset, op.nbytes, done)
         else:
-            assert isinstance(op, WriteMetadata)
+            assert kind is WriteMetadata
             self.fs.write_metadata(proc.pid, spu_id, op.file, done)
 
     def _io_done(self, proc: Process, spu_id: int) -> None:
@@ -1081,12 +1088,17 @@ class Kernel:  # simlint: disable=SL401
                 self._advance(parent)
 
     # --- CPU dispatch ---------------------------------------------------------
+    #
+    # _make_runnable, _dispatch and the slice helpers run on every burst,
+    # and only after boot() (every entry point that reaches them checks
+    # first), so they read self.cpusched and the engine's clock field
+    # directly instead of going through _sched() and Engine.now.
 
     def _make_runnable(self, proc: Process) -> None:
         proc.state = ProcessState.RUNNABLE
-        now = self.engine.now
+        now = self.engine._now
         proc.runnable_since = now
-        sched = self._sched()
+        sched = self.cpusched
         sched.enqueue(proc)
         cpu = sched.find_cpu_for(proc, now)
         if cpu is not None:
@@ -1160,7 +1172,7 @@ class Kernel:  # simlint: disable=SL401
     def _dispatch(self, cpu: Processor) -> None:
         if not cpu.idle:
             return
-        proc = self._sched().pick(cpu, self.engine.now)
+        proc = self.cpusched.pick(cpu, self.engine._now)
         if proc is None:
             return
         if self.tracer.enabled:
@@ -1194,7 +1206,7 @@ class Kernel:  # simlint: disable=SL401
             if to_fault is not None and to_fault < length:
                 length, reason = to_fault, "fault"
         engine = self.engine
-        proc.slice_started = engine.now
+        proc.slice_started = engine._now
         proc.slice_handle = engine.after(
             max(1, warmup + length), self._end_slice, cpu, proc, reason
         )
@@ -1202,7 +1214,7 @@ class Kernel:  # simlint: disable=SL401
     def _end_slice(self, cpu: Processor, proc: Process, reason: str) -> None:
         proc.slice_handle = None
         self._charge_slice(proc)
-        self._sched().release(cpu)
+        self.cpusched.release(cpu)
         proc.cpu = None
         if reason == "done":
             self._advance(proc)
@@ -1213,7 +1225,7 @@ class Kernel:  # simlint: disable=SL401
         self._dispatch(cpu)
 
     def _charge_slice(self, proc: Process) -> None:
-        now = self.engine.now
+        now = self.engine._now
         elapsed = now - proc.slice_started
         # The warm-up portion burns CPU time without making progress.
         progress = max(0, elapsed - proc.slice_warmup)
@@ -1226,7 +1238,7 @@ class Kernel:  # simlint: disable=SL401
         self.context_switches += 1
         proc.priority.charge(elapsed, now)
         self.cpu_account.charge(proc.spu_id, elapsed)
-        self._sched().on_usage(proc.spu_id, elapsed)
+        self.cpusched.on_usage(proc.spu_id, elapsed)
 
     def _preempt(self, cpu: Processor, dispatch: bool = True) -> None:
         """Take the CPU away (loan revocation, rotation, gang boost)."""

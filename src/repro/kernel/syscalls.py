@@ -11,6 +11,10 @@ any).  Example::
         yield Compute(msecs(800))
         yield WriteFile(obj, 0, obj.size_bytes)
         yield WriteMetadata(obj)
+
+The kernel dispatches on an op's exact class (``type(op) is Compute``,
+not ``isinstance``), so an instance of a subclass of one of these ops
+is an unknown op and raises :class:`~repro.kernel.kernel.KernelError`.
 """
 
 from __future__ import annotations

@@ -22,6 +22,9 @@ re-derives the kernel's conservation laws after events:
   index agree with its blocks;
 * **link index** — every network link's per-SPU FIFOs hold only their
   SPU's packets, in arrival order, and add up to its queue depth;
+* **run queue** — the CPU scheduler's waiting count equals the
+  processes in its run queues, and each queued process sits once, in
+  its own SPU's queue;
 * **memory settled** — while the memory-sharing daemon would skip its
   pass (no denials pending, no page count moved since its last full
   pass), every active user SPU's memory ``entitled`` is already the
@@ -205,6 +208,14 @@ class SimSanitizer:
             drift = link.index_drift()
             if drift is not None:
                 self._fail("link-index", drift)
+
+        # Run queue: the waiting count the dispatch path trusts,
+        # re-derived from the queues.
+        sched = kernel.cpusched
+        if sched is not None:
+            drift = sched.index_drift()
+            if drift is not None:
+                self._fail("runqueue", drift)
 
         # Memory settled: a pass the daemon skips must be a no-op, so
         # re-derive what it would set and check it already holds.

@@ -1,5 +1,7 @@
 """End-to-end tests of the kernel: processes, syscalls, paging."""
 
+import re
+
 import pytest
 
 from repro.core import piso_scheme, quota_scheme, smp_scheme
@@ -80,6 +82,30 @@ class TestLifecycle:
             yield "not-an-op"
 
         with pytest.raises(KernelError):
+            kernel.spawn(bad(), spu)
+
+    def test_a_plain_object_is_an_unknown_op(self):
+        kernel, (spu,) = booted()
+        op = object()
+
+        def bad():
+            yield op
+
+        with pytest.raises(KernelError, match=re.escape(f"unknown op {op!r}")):
+            kernel.spawn(bad(), spu)
+
+    def test_a_subclass_of_an_op_is_an_unknown_op(self):
+        # The kernel dispatches on an op's exact class.
+        class LongCompute(Compute):
+            pass
+
+        kernel, (spu,) = booted()
+        op = LongCompute(msecs(1))
+
+        def bad():
+            yield op
+
+        with pytest.raises(KernelError, match=re.escape(f"unknown op {op!r}")):
             kernel.spawn(bad(), spu)
 
 

@@ -212,6 +212,20 @@ class TestCorruptionDetection:
         ):
             san.check()
 
+    def test_runqueue_count_drift(self):
+        kernel, (spu,) = booted()
+        for _ in range(3):  # two CPUs: the third process waits
+            kernel.spawn(crunch(), spu)
+        sched = kernel.cpusched
+        assert sched.waiting() == 1
+        san = SimSanitizer(kernel)
+        san.check()
+        sched._nwaiting += 1  # behind enqueue's back
+        with pytest.raises(
+            SanitizerError, match="runqueue: waiting count is 2, the queues hold 1"
+        ):
+            san.check()
+
     def test_memory_settled_drift(self):
         kernel, _spus = booted(nspus=2)
         kernel.run(until=150 * MSEC)  # one periodic pass settles the daemon
