@@ -237,7 +237,6 @@ def run_soak(
     horizon_us: Optional[int] = None,
     scheme: Optional[SchemeConfig] = None,
     max_workers: Optional[int] = 1,
-    pool=None,
     cache: bool = False,
     cache_dir: Optional[str] = None,
 ) -> List[ChaosResult]:
@@ -246,9 +245,7 @@ def run_soak(
     Each seed's plan is independent and each run is a pure function of
     its plan (journals are byte-identical across replays), so seeds fan
     out across worker processes; results come back in seed order
-    regardless of which worker finished first.  ``pool`` is an optional
-    shared :class:`repro.parallel.WorkerPool` so a multi-scheme or
-    multi-horizon soak pays one fork cost total; ``cache=True`` answers
+    regardless of which worker finished first.  ``cache=True`` answers
     previously-soaked seeds from the content-addressed sweep cache
     (byte-identical journals, it stores the pure run's result).
     """
@@ -257,4 +254,4 @@ def run_soak(
     plan = SweepPlan(max_workers=max_workers, cache=cache,
                      cache_dir=cache_dir)
     payloads = [(seed, horizon_us, scheme) for seed in seeds]
-    return values(Executor(plan, pool=pool).run(_soak_cell, payloads))
+    return values(Executor(plan).run(_soak_cell, payloads))

@@ -19,38 +19,23 @@ from repro.api import ExperimentResult, ExperimentSpec, get, names, run_experime
 from repro.parallel import Executor, SweepPlan, values
 
 
-def run_sections(
-    sections: List[str],
-    seed: int = 0,
-    max_workers: Optional[int] = 1,
-    timeout_s: Optional[float] = None,
-) -> List[ExperimentResult]:
-    """Run the named experiments; results in the order requested."""
-    results, _retried = run_sections_with_stats(
-        sections, seed=seed, max_workers=max_workers, timeout_s=timeout_s
-    )
-    return results
-
-
 def run_sections_with_stats(
     sections: List[str],
     seed: int = 0,
     max_workers: Optional[int] = 1,
-    timeout_s: Optional[float] = None,
-    pool=None,
     cache: bool = False,
     cache_dir: Optional[str] = None,
 ) -> "tuple[List[ExperimentResult], int]":
-    """Like :func:`run_sections`, plus the crash/timeout retry count.
+    """Run the named experiments, in the order requested.
 
-    ``pool`` optionally shares a :class:`repro.parallel.WorkerPool`
-    across callers; ``cache=True`` answers unchanged (name, seed) cells
-    from the content-addressed sweep cache.
+    Returns the results and the sweep's crash/timeout retry count;
+    ``cache=True`` answers unchanged (name, seed) cells from the
+    content-addressed sweep cache.
     """
-    plan = SweepPlan(max_workers=max_workers, timeout_s=timeout_s,
-                     cache=cache, cache_dir=cache_dir)
+    plan = SweepPlan(max_workers=max_workers, cache=cache,
+                     cache_dir=cache_dir)
     payloads = [ExperimentSpec(name=name, seed=seed) for name in sections]
-    outcomes = Executor(plan, pool=pool).run(run_experiment, payloads)
+    outcomes = Executor(plan).run(run_experiment, payloads)
     return values(outcomes), sum(o.retries for o in outcomes)
 
 

@@ -1,13 +1,14 @@
 """``python -m repro fleet`` — the fleet failover smoke gate.
 
 Runs a small seeded fleet (two machines, one whole-machine crash)
-twice — in-process and through the parallel sweep executor — and
-gates on the two things CI cares about:
+in-process, then sends one copy of its spec per ``--workers`` through
+the parallel sweep executor — so with two or more workers every copy
+runs in a worker process — and gates on the two things CI cares about:
 
 * the fleet watchdog found no conservation violations (no SPU lost,
   progress and capacity conserved across the failover), and
-* the serial and parallel records are byte-identical (the fleet run
-  is a pure function of its spec, wherever it executes).
+* every parallel record is byte-identical to the serial one (the
+  fleet run is a pure function of its spec, wherever it executes).
 
 ``--scheme``, ``--seed``, ``--machines``, ``--crash-at`` and
 ``--horizon`` reshape the smoke fleet; ``--json`` dumps the records.
@@ -99,10 +100,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     payload = spec.to_dict()
     serial = run_fleet_record(payload)
+    # One copy per worker: the executor runs a one-cell sweep in-process.
     outcomes = Executor(SweepPlan(max_workers=args.workers)).run(
-        run_fleet_record, [payload]
+        run_fleet_record, [payload] * max(1, args.workers)
     )
-    parallel = outcomes[0].value if outcomes[0].status == "ok" else None
+    errored = next((o for o in outcomes if not o.ok), None)
+    differs = next(
+        (o.value for o in outcomes if o.ok and o.value != serial), None
+    )
 
     if args.json:
         print(json.dumps(serial, indent=2, sort_keys=True))
@@ -114,17 +119,17 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         failed = True
-    if parallel is None:
+    if errored is not None:
         print(
-            f"FAIL: parallel cell errored: {outcomes[0].error}",
+            f"FAIL: parallel cell errored: {errored.error}",
             file=sys.stderr,
         )
         failed = True
-    elif parallel != serial:
+    elif differs is not None:
         print(
             "FAIL: serial and parallel fleet records differ"
             f" (serial digest {serial['digest']},"
-            f" parallel digest {parallel['digest']})",
+            f" parallel digest {differs['digest']})",
             file=sys.stderr,
         )
         failed = True

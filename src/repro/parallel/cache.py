@@ -218,7 +218,8 @@ class SweepCache:
         self._warn = warn
         self.hits = 0
         self.misses = 0
-        #: Corrupt/torn entries encountered (each also counts a miss).
+        #: Corrupt/torn entries read (each also counts a miss), plus
+        #: entries the store could not write.
         self.errors = 0
         self.puts = 0
 
@@ -246,7 +247,9 @@ class SweepCache:
         try:
             with open(path, "rb") as fh:
                 data = fh.read()
-        except FileNotFoundError:
+        except (FileNotFoundError, NotADirectoryError):
+            # No entry at this path; a root that cannot hold one (it
+            # lies beneath a regular file) warns once, from put.
             self.misses += 1
             return False, None
         except OSError as exc:  # pragma: no cover - unreadable store
@@ -282,9 +285,10 @@ class SweepCache:
         The entry is written to a temp file in the final directory and
         published with an atomic rename, so concurrent writers of the
         same key race benignly and readers never observe a torn entry
-        under the final name.  An unpicklable value is skipped with a
-        warning — the sweep already returned it inline, only the reuse
-        is lost.
+        under the final name.  An unpicklable value, or a store that
+        cannot be written (``OSError``: a read-only or full disk, a root
+        beneath a regular file), is skipped with a warning — the sweep
+        already returned the value inline, only the reuse is lost.
         """
         path = self._entry_path(key)
         if os.path.exists(path):
@@ -295,20 +299,26 @@ class SweepCache:
             self._warn(f"cache: result not picklable ({exc!r}); not stored")
             return
         directory = os.path.dirname(path)
-        os.makedirs(directory, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        tmp = None
         try:
+            os.makedirs(directory, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
                 fh.write(_MAGIC)
                 fh.write(hashlib.sha256(blob).digest())
                 fh.write(blob)
             os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:  # pragma: no cover - never written
-                pass
-            raise
+        except BaseException as exc:
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:  # pragma: no cover - already renamed
+                    pass
+            if not isinstance(exc, OSError):
+                raise
+            self._warn(f"cache entry {path} not written ({exc}); not stored")
+            self.errors += 1
+            return
         self.puts += 1
 
     def stats_dict(self) -> Dict[str, int]:

@@ -16,15 +16,10 @@ serial loop would have produced:
 * **Persistent worker pools.**  Pass ``pool=`` a
   :class:`~repro.parallel.pool.WorkerPool` and the same worker
   processes serve every ``run()`` — one fork cost per process, not per
-  stage; the pool protocol carries the callable per batch, so unlike
-  sweeps (experiments, fleet records, fuzz cells) share one pool.
-  Without ``pool=`` an ephemeral pool is created and torn down per run,
-  the pre-pool behaviour.
-* **Batched dispatch.**  Cells are handed to workers in batches
-  (``batch_size``; auto-sized from the sweep by default) so one pipe
-  round-trip amortises over several cells.  Completion is still
-  reported per cell — progress, timeouts, and crash containment keep
-  cell granularity.
+  stage; each pipe message carries the callable with one cell, so
+  unlike sweeps (experiments, fleet records, fuzz cells) share one
+  pool.  Without ``pool=`` an ephemeral pool is created and torn down
+  per run, the pre-pool behaviour.
 * **Content-addressed caching.**  With ``plan.cache`` (or an explicit
   ``cache=`` :class:`~repro.parallel.cache.SweepCache`), each cell's
   key — canonical payload + callable + code digest — is probed before
@@ -33,28 +28,22 @@ serial loop would have produced:
   cached value is the pickled bytes of a previous pure run, cached and
   cold sweeps are byte-identical; :class:`SweepStats` reports the
   hit/miss split.
-* **Worker recycling.**  A worker retires after ``tasks_per_worker``
-  cells and is replaced by a fresh process, bounding the blast radius
-  of any per-process state a simulation might leak.  Batches never
-  straddle the recycling budget.  (For a shared pool the pool's own
-  budget governs, counted across every sweep the worker served.)
-* **Per-run timeouts.**  Each cell gets ``timeout_s`` of wall clock —
-  the deadline re-arms as every cell of a batch completes.  A cell
-  that exceeds it has its worker killed and is reported as
-  ``"timeout"``; the batch's not-yet-started cells are re-queued with
-  no penalty and the sweep continues on a replacement worker.
-* **Crash containment with retry.**  A worker that dies mid-cell
-  (segfault, ``os._exit``, OOM-kill) or blows its deadline charges that
-  cell only; the cell is retried once on a fresh worker after a short
-  backoff (``retries`` controls how many times) before being reported
-  as ``"crashed"``/``"timeout"``, because a worker death is the one
+* **Per-run timeouts.**  Each cell gets ``timeout_s`` of wall clock.
+  A cell that exceeds it has its worker killed and is reported as
+  ``"timeout"``; the sweep continues on a replacement worker.
+* **Crash containment with retry.**  A worker runs one cell at a
+  time, so a worker that dies mid-cell (segfault, ``os._exit``,
+  OOM-kill) or blows its deadline charges that cell only; the cell is
+  retried once on a fresh worker after a short backoff (``retries``
+  controls how many times) before being reported as
+  ``"crashed"``/``"timeout"``, because a worker death is the one
   failure mode that is usually the *host's* fault (memory pressure,
-  fork storms) rather than the payload's.  Cells behind it in the
-  batch had not started (completions arrive in batch order) and are
-  re-queued without consuming a retry.  Deterministic failures — the
-  callable raising — are never retried.
-* **Graceful fallback.**  ``max_workers=1`` (or a platform where
-  process creation fails with ``OSError``) runs every cell in-process,
+  fork storms) rather than the payload's.  A worker that dies idle
+  charges nothing.  Deterministic failures — the callable raising —
+  are never retried.
+* **Graceful fallback.**  ``max_workers=1``, a sweep with one cell to
+  run (workers are capped at the cell count), or a platform where
+  process creation fails with ``OSError`` runs every cell in-process,
   in order, with no multiprocessing machinery at all.  A shared pool
   that was already shut down is a caller bug and raises instead.
 * **Interrupt hygiene.**  A ``KeyboardInterrupt`` (or ``SystemExit``)
@@ -107,11 +96,6 @@ __all__ = [
     "values",
 ]
 
-#: Ceiling for the auto-sized batch: load balancing degrades if one
-#: worker hoards too much of the sweep.
-_MAX_AUTO_BATCH = 16
-
-
 class SweepError(RuntimeError):
     """Raised by :func:`values` when a sweep cell did not succeed."""
 
@@ -121,36 +105,20 @@ class SweepPlan:
     """Everything configurable about a sweep, as one picklable object.
 
     ``timeout_s`` is each cell's wall-clock budget (None: unbounded).
-    ``batch_size=None`` auto-sizes from the sweep (1 for short sweeps,
-    growing with cells-per-worker, capped).  ``cache=True`` consults
-    the content-addressed result cache in ``cache_dir`` (default:
-    ``$REPRO_CACHE_DIR`` or ``.repro-cache``) before dispatching any
-    cell.
-
-    When an :class:`Executor` is given a shared
-    :class:`~repro.parallel.pool.WorkerPool`, the pool's own
-    ``tasks_per_worker`` governs (it is a property of the processes,
-    which outlive any one plan); the plan's value applies to the
-    ephemeral pool created when no shared pool is passed.
+    ``cache=True`` consults the content-addressed result cache in
+    ``cache_dir`` (default: ``$REPRO_CACHE_DIR`` or ``.repro-cache``)
+    before dispatching any cell.
     """
 
     max_workers: Optional[int] = None
     timeout_s: Optional[float] = None
-    tasks_per_worker: Optional[int] = None
     retries: int = 1
-    batch_size: Optional[int] = None
     cache: bool = False
     cache_dir: Optional[str] = None
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if self.tasks_per_worker is not None and self.tasks_per_worker < 1:
-            raise ValueError(
-                f"tasks_per_worker must be >= 1, got {self.tasks_per_worker}"
-            )
         # Written as ``not > 0`` so NaN, which fails every comparison,
         # is rejected too: a budget of zero would time out every cell.
         if self.timeout_s is not None and not self.timeout_s > 0:
@@ -161,20 +129,19 @@ class SweepPlan:
 class SweepStats:
     """Where a sweep's wall clock went, for overhead attribution.
 
-    ``dispatch_s`` is parent time spent choosing and sending work,
-    ``compute_s`` is the sum of worker-measured per-cell run times
-    (across workers, so it can exceed the wall clock), ``merge_s`` is
-    parent time spent decoding results into outcomes.  ``wall_s`` minus
-    the parent-side stages is time the parent sat in poll waits.
-    ``pool_reuse`` is how many sweeps the shared pool had already
-    served before this one (0 for an ephemeral pool);
+    ``workers`` is how many worker processes ran cells (1: the sweep
+    ran in-process).  ``dispatch_s`` is parent time spent choosing and
+    sending work, ``compute_s`` is the sum of worker-measured per-cell
+    run times (across workers, so it can exceed the wall clock),
+    ``merge_s`` is parent time spent decoding results into outcomes.
+    ``wall_s`` minus the parent-side stages is time the parent sat in
+    poll waits.  ``pool_reuse`` is how many sweeps the shared pool had
+    already served before this one (0 for an ephemeral pool);
     ``cache_hits``/``cache_misses`` split the cells that were answered
     from the content-addressed store vs actually run.
     """
 
     workers: int = 0
-    batch_size: int = 1
-    transport: str = "serial"
     cells: int = 0
     wall_s: float = 0.0
     dispatch_s: float = 0.0
@@ -229,17 +196,6 @@ def values(outcomes: Sequence[RunOutcome]) -> List[Any]:
             f" cell {first.index} {first.status}: {first.error}"
         )
     return [o.value for o in outcomes]
-
-
-def _auto_batch(n_cells: int, n_workers: int) -> int:
-    """Batch size when the plan leaves it to us.
-
-    Small sweeps (the experiment registry: ~10 heterogeneous cells)
-    stay at 1 — batching would serialise unlike-sized cells behind one
-    worker.  Large sweeps (fuzz campaigns: hundreds of uniform seeds)
-    grow toward :data:`_MAX_AUTO_BATCH` so dispatch overhead amortises.
-    """
-    return max(1, min(_MAX_AUTO_BATCH, n_cells // (n_workers * 8)))
 
 
 def _run_serial(
@@ -343,52 +299,34 @@ class Executor:
 
     def _run_cells(self, fn: Callable[[Any], Any], payloads: List[Any],
                    stats: SweepStats) -> List[RunOutcome]:
-        plan = self.plan
-        n_workers = min(resolve_workers(plan.max_workers), len(payloads))
+        n_workers = min(resolve_workers(self.plan.max_workers), len(payloads))
         if n_workers <= 1:
             stats.workers = 1
             return _run_serial(fn, payloads, stats)
         shared = self._pool is not None
-        pool = self._pool
-        lease: Optional[PoolLease] = None
+        pool = self._pool if shared else WorkerPool(max_workers=n_workers)
         try:
-            if shared:
-                stats.pool_reuse = pool.runs_served
-                lease = pool.lease(n_workers)
-            else:
-                pool = WorkerPool(
-                    max_workers=n_workers,
-                    tasks_per_worker=plan.tasks_per_worker,
-                )
-                lease = pool.lease(n_workers)
+            lease = pool.lease(n_workers)
         except OSError:
             # No processes on this platform (sandbox, resource limits):
             # degrade to the serial path rather than failing the sweep.
             # A shared pool that is already shut down raises ValueError,
             # which propagates: that is a caller bug, not a platform.
-            if not shared and pool is not None:
+            if not shared:
                 pool.kill()
             stats.workers = 1
             return _run_serial(fn, payloads, stats)
+        stats.pool_reuse = pool.runs_served
         pool.runs_served += 1
-        budget = pool.tasks_per_worker
-        batch = (
-            plan.batch_size if plan.batch_size is not None
-            else _auto_batch(len(payloads), n_workers)
-        )
-        if budget is not None:
-            batch = min(batch, budget)
         stats.workers = len(lease.workers)
-        stats.batch_size = batch
-        stats.transport = "pipe"
         try:
-            return _run_pool(lease, fn, payloads, plan, batch, budget, stats)
+            return _run_pool(lease, fn, payloads, self.plan, stats)
         except BaseException:
             # Ctrl-C, a hard exit request, or any other escape leaves
-            # workers mid-cell with undelivered batches and unread
-            # pipes; they will never see a poison pill, and a shared
-            # pool in that state would poison the next sweep.  Kill the
-            # workers outright, close every pipe, and let it propagate.
+            # workers mid-cell with unread pipes; they will never see a
+            # poison pill, and a shared pool in that state would poison
+            # the next sweep.  Kill the workers outright, close every
+            # pipe, and let it propagate.
             pool.kill()
             raise
         finally:
@@ -398,8 +336,7 @@ class Executor:
 
 def _run_pool(
     lease: PoolLease, fn: Callable[[Any], Any], payloads: Sequence[Any],
-    plan: SweepPlan, batch_cap: int, budget: Optional[int],
-    stats: SweepStats,
+    plan: SweepPlan, stats: SweepStats,
 ) -> List[RunOutcome]:
     outcomes: List[Optional[RunOutcome]] = [None] * len(payloads)
     next_index = 0
@@ -410,49 +347,32 @@ def _run_pool(
     attempts = [0] * len(payloads)
     #: Cells awaiting a retry slot, as (not_before, index).
     retry_queue: List[Tuple[float, int]] = []
-    #: Batch cells orphaned unstarted by a crash/timeout ahead of them;
-    #: re-dispatched first, with no retry penalty.
-    requeue: List[int] = []
 
     def feed() -> None:
+        """Hand one cell to every idle worker, while cells remain."""
         nonlocal next_index
         t0 = time.monotonic()
         for worker in lease.workers:
-            # Never hand a cell to a worker that has hit its recycling
-            # budget: it exits right after announcing retirement, and a
-            # cell sent behind that announcement would strand in a dead
-            # process's pipe.  Its replacement picks up the slack.
-            if budget is not None and worker.tasks_done >= budget:
+            if worker.inflight is not None:
                 continue
-            if worker.pending:
-                continue
-            now = time.monotonic()
             # Retries first, so a flaky cell's result stops gating the
-            # sweep's tail; a retry runs alone (batch of one) so no
-            # innocent cell sits behind a suspect one.
-            ready = next((r for r in retry_queue if r[0] <= now), None)
+            # sweep's tail.
+            ready = next((r for r in retry_queue if r[0] <= t0), None)
             if ready is not None:
                 retry_queue.remove(ready)
-                lease.assign(worker, fn, [ready[1]], payloads, timeout_s)
-                continue
-            room = batch_cap
-            if budget is not None:
-                room = min(room, budget - worker.tasks_done)
-            indices: List[int] = []
-            while requeue and len(indices) < room:
-                indices.append(requeue.pop(0))
-            while next_index < len(payloads) and len(indices) < room:
-                indices.append(next_index)
+                index = ready[1]
+            elif next_index < len(payloads):
+                index = next_index
                 next_index += 1
-            if indices:
-                lease.assign(worker, fn, indices, payloads, timeout_s)
+            else:
+                break
+            lease.assign(worker, fn, index, payloads[index], timeout_s)
         stats.dispatch_s += time.monotonic() - t0
 
-    def fail(worker, index: int, status: str, error: str) -> None:
-        """Charge a crashed/timed-out cell, or queue its retry."""
+    def fail(worker, status: str, error: str) -> None:
+        """Charge a dead worker's in-flight cell, or queue its retry."""
         nonlocal completed
-        if outcomes[index] is not None:
-            return
+        index = worker.inflight
         if attempts[index] < retries:
             attempts[index] += 1
             retry_queue.append(
@@ -466,71 +386,41 @@ def _run_pool(
         )
         completed += 1
 
-    def abandon(worker) -> None:
-        """Re-queue a dead worker's unstarted batch cells, penalty-free.
-
-        Completions arrive in batch order, so ``pending[0]`` is the
-        cell that was actually running; everything behind it never
-        started and keeps its retry budget intact.
-        """
-        for index in worker.pending[1:]:
-            if outcomes[index] is None:
-                requeue.append(index)
-        worker.pending = []
-
     def record(worker, message: tuple) -> None:
-        """Fold one worker message into outcomes and bookkeeping."""
+        """Fold a worker's result for its in-flight cell into outcomes."""
         nonlocal completed
-        status, ordinal, index, value, error, compute_s = message
-        if status == "retired":
-            # The worker hit its recycling budget: replace it with a
-            # fresh process.  (Batches never straddle the budget, so a
-            # retiring worker has no unstarted cells to abandon.)
-            abandon(worker)
-            if lease.by_ordinal(ordinal) is not None:
-                lease.replace(worker)
-            return
         t0 = time.monotonic()
+        status, value, error, compute_s = message
+        index = worker.inflight
+        worker.inflight = None
+        worker.deadline = None
         stats.compute_s += compute_s
-        if index is not None and outcomes[index] is None:
-            outcomes[index] = RunOutcome(
-                index=index, status=status, value=value, error=error,
-                elapsed_s=time.monotonic() - worker.cell_started,
-                worker=ordinal, retries=attempts[index],
-            )
-            completed += 1
-        if worker.pending and worker.pending[0] == index:
-            worker.pending.pop(0)
-            worker.tasks_done += 1
-            now = time.monotonic()
-            worker.cell_started = now
-            worker.deadline = (
-                now + timeout_s
-                if timeout_s is not None and worker.pending else None
-            )
+        outcomes[index] = RunOutcome(
+            index=index, status=status, value=value, error=error,
+            elapsed_s=t0 - worker.cell_started,
+            worker=worker.ordinal, retries=attempts[index],
+        )
+        completed += 1
         stats.merge_s += time.monotonic() - t0
 
     feed()
     while completed < len(payloads):
         events = lease.poll()
         for worker, message in events:
-            if message is None:
-                # EOF: the worker died.  Charge (or retry) its in-
-                # flight cell, re-queue the rest of its batch, and
-                # refill the slot.
-                index = worker.inflight
-                if index is not None:
-                    fail(
-                        worker, index, "crashed",
-                        f"worker {worker.ordinal} died"
-                        f" (exitcode {worker.process.exitcode},"
-                        f" attempt {attempts[index] + 1})",
-                    )
-                abandon(worker)
-                if lease.by_ordinal(worker.ordinal) is not None:
-                    lease.replace(worker)
-            else:
+            if message is not None:
                 record(worker, message)
+                continue
+            # EOF: the worker died.  Charge (or retry) the cell it was
+            # running, if any, and refill the slot.
+            index = worker.inflight
+            if index is not None:
+                fail(
+                    worker, "crashed",
+                    f"worker {worker.ordinal} died"
+                    f" (exitcode {worker.process.exitcode},"
+                    f" attempt {attempts[index] + 1})",
+                )
+            lease.replace(worker)
         if events:
             feed()
             continue
@@ -538,16 +428,12 @@ def _run_pool(
         # Nothing to read: enforce per-cell deadlines.
         now = time.monotonic()
         for worker in list(lease.workers):
-            if worker.inflight is None:
-                continue
             if worker.deadline is not None and now > worker.deadline:
-                index = worker.inflight
                 fail(
-                    worker, index, "timeout",
+                    worker, "timeout",
                     f"cell exceeded {timeout_s}s"
-                    f" (attempt {attempts[index] + 1})",
+                    f" (attempt {attempts[worker.inflight] + 1})",
                 )
-                abandon(worker)
                 lease.replace(worker)
         feed()
 

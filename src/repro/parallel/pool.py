@@ -6,16 +6,17 @@ one fork cost per sweep, paid again by every fuzz shard and every
 chaos soak in the same process.  A :class:`WorkerPool` decouples
 worker lifetime from sweep lifetime:
 
-* **Function-per-batch protocol.**  Workers no longer bind the sweep
-  callable at fork time; each batch message carries the callable
-  (pickled by reference — it must stay a module-level function) along
-  with its ``(index, payload)`` cells, so one pool serves
-  ``run_experiment`` cells, fleet records, chaos seeds, and fuzz
-  scenarios back to back.
+* **One cell per message.**  Workers do not bind the sweep callable
+  at fork time; each message carries the callable (pickled by
+  reference — it must stay a module-level function) with one cell's
+  payload, so one pool serves ``run_experiment`` cells, fleet records,
+  chaos seeds, and fuzz scenarios back to back.  A worker runs one
+  cell at a time, so the parent always knows which cell a dead worker
+  held.
 * **Leases.**  A run asks for ``lease(n)`` and operates on the first
   ``n`` workers; the pool may hold more (sized once for the largest
-  stage).  Replacements for crashed/retired workers happen through the
-  lease so both views stay consistent.
+  stage).  Replacements for crashed and timed-out workers happen
+  through the lease so both views stay consistent.
 * **Lifecycle.**  ``shutdown()`` drains gracefully (poison pills),
   ``kill()`` tears down immediately (the Ctrl-C path), both are
   idempotent, and the pool registers an :mod:`atexit` ``kill`` so a
@@ -23,10 +24,8 @@ worker lifetime from sweep lifetime:
   pipes behind.  ``with WorkerPool(...)`` shuts down on exit.
 
 Everything the old per-run pool promised still holds: one duplex pipe
-per worker (a dead worker reads as EOF, never a wedged queue) that
-carries payloads out and pickled results back, recycling via
-``tasks_per_worker``, and completions that arrive strictly in batch
-order so crash attribution stays per-cell.
+per worker (a dead worker reads as EOF, never a wedged queue) carries
+the payload out and the pickled result back.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ import multiprocessing
 import os
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import connection
-from typing import Any, Callable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 #: Default worker-count cap when ``max_workers`` is None: enough to
 #: cover the experiment sweeps without oversubscribing small machines.
@@ -62,13 +61,11 @@ def resolve_workers(max_workers: Optional[int]) -> int:
 # --- worker side -----------------------------------------------------------
 
 
-def _worker_main(worker_id: int, conn,
-                 tasks_per_worker: Optional[int]) -> None:
-    """Run cell batches from the pipe until retired, poisoned, or crashed."""
-    done = 0
+def _worker_main(conn) -> None:
+    """Run cells from the pipe, one at a time, until poisoned or crashed."""
     while True:
         try:
-            batch = conn.recv()
+            task = conn.recv()
         except (EOFError, OSError):
             return
         except KeyboardInterrupt:
@@ -77,34 +74,25 @@ def _worker_main(worker_id: int, conn,
             # interrupt (it kills the pool); a worker parked on recv()
             # just exits quietly instead of spraying tracebacks.
             return
-        if batch is None:
+        if task is None:
             return
-        fn, cells = batch
-        for index, payload in cells:
-            started = time.perf_counter()
-            try:
-                value = fn(payload)
-                message = ("ok", worker_id, index, value, None,
-                           time.perf_counter() - started)
-            except BaseException:
-                message = ("error", worker_id, index, None,
-                           traceback.format_exc(),
-                           time.perf_counter() - started)
-            try:
-                # send() pickles then writes from this thread, so the
-                # message is fully flushed before the next cell can
-                # crash the process, and an unpicklable result surfaces
-                # here as a structured error rather than killing the
-                # worker.
-                conn.send(message)
-            except Exception as exc:
-                conn.send(("error", worker_id, index, None,
-                           f"result of cell {index} is not picklable: {exc!r}",
-                           0.0))
-            done += 1
-            if tasks_per_worker is not None and done >= tasks_per_worker:
-                conn.send(("retired", worker_id, None, None, None, 0.0))
-                return
+        fn, payload = task
+        started = time.perf_counter()
+        try:
+            value = fn(payload)
+            message = ("ok", value, None, time.perf_counter() - started)
+        except BaseException:
+            message = ("error", None, traceback.format_exc(),
+                       time.perf_counter() - started)
+        try:
+            # send() pickles then writes from this thread, so the
+            # message is fully flushed before the next cell can crash
+            # the process, and an unpicklable result surfaces here as a
+            # structured error rather than killing the worker.
+            conn.send(message)
+        except Exception as exc:
+            conn.send(("error", None, f"result is not picklable: {exc!r}",
+                       0.0))
 
 
 # --- parent side -----------------------------------------------------------
@@ -117,19 +105,12 @@ class _Worker:
     ordinal: int
     process: Any
     conn: Any
-    #: Indices of the assigned batch still awaiting completion, in the
-    #: order the worker runs them (completions arrive in this order).
-    pending: List[int] = field(default_factory=list)
+    #: Index of the cell the worker is running, or None when idle.
+    inflight: Optional[int] = None
     #: Wall-clock deadline for the cell now in flight, or None.
     deadline: Optional[float] = None
     #: When the cell now in flight started (parent clock).
     cell_started: float = 0.0
-    tasks_done: int = field(default=0)
-
-    @property
-    def inflight(self) -> Optional[int]:
-        """The cell the worker is running right now, or None when idle."""
-        return self.pending[0] if self.pending else None
 
 
 class WorkerPool:
@@ -138,25 +119,15 @@ class WorkerPool:
     ``max_workers`` bounds the pool (``None`` = the auto cap); workers
     spawn lazily as leases demand them, so a pool constructed for the
     largest stage costs nothing until used.
-
-    ``tasks_per_worker`` is a *pool* property: a worker's recycling
-    budget counts every cell it has run across all the sweeps the pool
-    served, which is exactly what the budget is for (bounding leaked
-    per-process state over a worker's whole lifetime).
     """
 
-    def __init__(
-        self,
-        max_workers: Optional[int] = None,
-        tasks_per_worker: Optional[int] = None,
-        transport: str = "pipe",
-    ):
+    def __init__(self, max_workers: Optional[int] = None,
+                 transport: str = "pipe"):
         # The pipe is the only transport; the keyword survives because
         # the perfbench ``sweep`` workload still passes transport="pipe".
         if transport != "pipe":
             raise ValueError(f"transport must be 'pipe', got {transport!r}")
         self.size = resolve_workers(max_workers)
-        self.tasks_per_worker = tasks_per_worker
         self._ctx = multiprocessing.get_context()
         self._next_ordinal = 0
         self._dead = False
@@ -189,14 +160,13 @@ class WorkerPool:
     def lease(self, n: int) -> "PoolLease":
         """A view over the first ``min(n, size)`` workers for one sweep.
 
-        Workers left with undelivered state by an aborted sweep are
-        replaced before the lease is handed out, so each sweep starts
-        from idle pipes.
+        Workers left mid-cell by an aborted sweep are replaced before
+        the lease is handed out, so each sweep starts from idle pipes.
         """
         self.ensure(n)
         workers = self.workers[:min(n, self.size)]
         for i, worker in enumerate(workers):
-            if worker.pending or not worker.process.is_alive():
+            if worker.inflight is not None or not worker.process.is_alive():
                 workers[i] = self.replace(worker)
         return PoolLease(self, workers)
 
@@ -207,7 +177,7 @@ class WorkerPool:
         try:
             process = self._ctx.Process(
                 target=_worker_main,
-                args=(ordinal, child_conn, self.tasks_per_worker),
+                args=(child_conn,),
                 daemon=True,
             )
             process.start()
@@ -222,7 +192,7 @@ class WorkerPool:
         return _Worker(ordinal=ordinal, process=process, conn=parent_conn)
 
     def replace(self, worker: _Worker) -> _Worker:
-        """Kill a worker (timeout/crash/retired) and refill its slot."""
+        """Kill a worker (timeout/crash) and refill its slot."""
         if worker.process.is_alive():
             worker.process.terminate()
         worker.process.join(timeout=5)
@@ -299,19 +269,15 @@ class PoolLease:
         self._pool = pool
         self.workers = workers
 
-    @property
-    def tasks_per_worker(self) -> Optional[int]:
-        return self._pool.tasks_per_worker
-
-    def assign(self, worker: _Worker, fn: Callable[[Any], Any],
-               indices: List[int], payloads: Sequence[Any],
-               timeout_s: Optional[float]) -> None:
-        worker.pending = list(indices)
+    def assign(self, worker: _Worker, fn: Callable[[Any], Any], index: int,
+               payload: Any, timeout_s: Optional[float]) -> None:
+        """Send one cell to an idle worker and start its deadline."""
+        worker.inflight = index
         worker.cell_started = time.monotonic()
         worker.deadline = (
             worker.cell_started + timeout_s if timeout_s is not None else None
         )
-        worker.conn.send((fn, [(i, payloads[i]) for i in indices]))
+        worker.conn.send((fn, payload))
 
     def poll(self) -> List[Tuple[_Worker, Optional[tuple]]]:
         """(worker, message) for every leased worker with news.
@@ -331,12 +297,6 @@ class PoolLease:
             except (EOFError, OSError):
                 events.append((worker, None))
         return events
-
-    def by_ordinal(self, ordinal: int) -> Optional[_Worker]:
-        for worker in self.workers:
-            if worker.ordinal == ordinal:
-                return worker
-        return None
 
     def replace(self, worker: _Worker) -> _Worker:
         fresh = self._pool.replace(worker)

@@ -230,6 +230,24 @@ class TestDeterminism:
         parallel = values(Executor(SweepPlan(max_workers=2)).run(run_fleet_record, payloads))
         assert serial == parallel
 
+    def test_smoke_cli_parallel_leg_runs_in_worker_processes(self, monkeypatch):
+        # The smoke gate compares the serial record with records made in
+        # worker processes, not with a second in-process run.
+        import repro.fleet.__main__ as fleet_main
+
+        seen = []
+
+        class _Spy(fleet_main.Executor):
+            def run(self, fn, payloads):
+                outcomes = super().run(fn, payloads)
+                seen.extend(outcomes)
+                return outcomes
+
+        monkeypatch.setattr(fleet_main, "Executor", _Spy)
+        assert fleet_main.main(["--scheme", "piso", "--workers", "2"]) == 0
+        assert len(seen) == 2
+        assert all(o.ok and o.worker >= 0 for o in seen)
+
     def test_seed_changes_the_journal(self):
         spec_a = two_machine_fleet(seed=0)
         spec_b = two_machine_fleet(seed=1)

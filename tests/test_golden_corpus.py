@@ -1,18 +1,23 @@
-"""Pins for the paths no experiment reaches: fuzz, fleet fuzz and chaos.
+"""Pins for the paths no experiment reaches: fuzz, fleet fuzz, chaos
+and the examples.
 
 ``test_golden_outputs.py`` pins the ten experiments and the smoke
 fleet, but none of them decommissions memory, runs goal control,
-schedules gangs, or recovers or partitions a fleet.  The fuzz corpus
-and the chaos soak do.  Each cell below is a pure function of its seed
-and horizon; its digest (and event count, where the record has one)
-is pinned in ``golden_corpus.json``.  Re-pin on purpose, so the new
-pins show in review, with
+schedules gangs, or recovers or partitions a fleet.  The fuzz corpus,
+the chaos soak and the examples do.  Each fuzz or chaos cell below is
+a pure function of its seed and horizon; its digest (and event count,
+where the record has one) is pinned in ``golden_corpus.json``.  Each
+example other than ``reproduce_paper.py`` is run as its own process,
+as CI runs it, and the sha256 of its stdout is pinned.  Re-pin on
+purpose, so the new pins show in review, with
 
     PYTHONPATH=src python -m tests.test_golden_corpus --update
 """
 
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -26,6 +31,7 @@ from repro.fuzz.runner import run_record
 from repro.sim.units import MSEC
 
 PINS_PATH = Path(__file__).resolve().with_name("golden_corpus.json")
+ROOT = PINS_PATH.parent.parent
 
 FUZZ_SEEDS = range(20)
 FUZZ_HORIZON_MS = 800
@@ -33,6 +39,13 @@ FLEET_FUZZ_SEEDS = range(10)
 FLEET_FUZZ_HORIZON_MS = 300
 CHAOS_SEEDS = range(5)
 CHAOS_HORIZON_MS = 1500
+#: Every example but ``reproduce_paper.py``, which runs the experiments
+#: that ``test_golden_outputs.py`` already pins.
+EXAMPLES = (
+    "capacity_planning", "department_server", "elastic_server",
+    "failing_hardware", "noisy_neighbor", "parallel_apps", "quickstart",
+    "service_goals",
+)
 
 
 def fuzz_cell(seed: int) -> dict:
@@ -57,10 +70,21 @@ def chaos_cell(seed: int) -> dict:
     return {"digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
 
 
+def example_cell(name: str) -> dict:
+    """The sha256 of ``PYTHONPATH=src python examples/<name>.py``'s stdout."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    stdout = subprocess.run(
+        [sys.executable, str(ROOT / "examples" / f"{name}.py")],
+        cwd=ROOT, env=env, stdout=subprocess.PIPE, check=True,
+    ).stdout
+    return {"sha256": hashlib.sha256(stdout).hexdigest()}
+
+
 CELLS = {
     "fuzz": (fuzz_cell, FUZZ_SEEDS),
     "fleet_fuzz": (fleet_fuzz_cell, FLEET_FUZZ_SEEDS),
     "chaos": (chaos_cell, CHAOS_SEEDS),
+    "examples": (example_cell, EXAMPLES),
 }
 
 

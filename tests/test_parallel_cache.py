@@ -196,6 +196,40 @@ def test_put_is_append_only(tmp_path):
     assert cache.puts == 1
 
 
+def test_unwritable_store_keeps_the_sweep(tmp_path):
+    # A store root beneath a regular file cannot be created: every put
+    # fails with an OSError.  The sweep still returns every value, and
+    # each lost entry is a warning and an error, not an exception.
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory")
+    warnings = []
+    cache = SweepCache(str(blocker / "store"), warn=warnings.append)
+    executor = Executor(SweepPlan(max_workers=1), cache=cache)
+    assert values(executor.run(_square, range(3))) == [0, 1, 4]
+    assert cache.puts == 0
+    assert cache.misses == 3
+    assert cache.errors == 3
+    assert len(warnings) == 3
+    assert all("not written" in w for w in warnings)
+
+
+def test_interrupted_put_removes_its_temp_file(tmp_path, monkeypatch):
+    # Only an OSError is swallowed: Ctrl-C mid-put still propagates,
+    # after the half-written temp file is removed.
+    cache = SweepCache(str(tmp_path))
+    key = cache.key_for(_square, 5)
+
+    def _interrupt(src, dst):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cache_mod.os, "replace", _interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        cache.put(key, 25)
+    monkeypatch.undo()
+    assert list(tmp_path.rglob("*.tmp")) == []
+    assert (cache.puts, cache.errors) == (0, 0)
+
+
 # --- cached-vs-cold byte identity (the determinism gate) --------------------
 
 SECTIONS = ("fig5", "table4", "fig7")

@@ -171,16 +171,6 @@ def test_per_run_timeout_kills_only_the_slow_cell():
     assert [o.value for o in others] == [0, 2, 3]
 
 
-def test_worker_recycling_spawns_fresh_processes():
-    outcomes = Executor(SweepPlan(max_workers=2, tasks_per_worker=1)).run(
-        _square, range(4)
-    )
-    assert values(outcomes) == [0, 1, 4, 9]
-    # Each worker retires after one cell, so no ordinal repeats.
-    ordinals = [o.worker for o in outcomes]
-    assert len(set(ordinals)) == len(ordinals)
-
-
 def test_values_passthrough_on_success():
     outcomes = [RunOutcome(index=0, status="ok", value="a")]
     assert values(outcomes) == ["a"]

@@ -3,6 +3,7 @@
 import multiprocessing
 import os
 import signal
+import time
 
 import pytest
 
@@ -42,7 +43,7 @@ def test_shared_pool_serves_many_runs_with_one_fork_cost():
 
 
 def test_shared_pool_switches_functions_between_runs():
-    # The batch protocol carries the callable, so one pool serves
+    # Every message carries the callable, so one pool serves
     # heterogeneous stages back to back.
     with WorkerPool(max_workers=2) as pool:
         squares = values(
@@ -78,17 +79,6 @@ def test_lease_subset_of_a_larger_pool():
         assert pool.forks == 4
 
 
-def test_pool_recycling_budget_counts_across_runs():
-    # tasks_per_worker is a pool property: the budget spans sweeps, so
-    # a long-lived pool still recycles its processes.
-    with WorkerPool(max_workers=2, tasks_per_worker=2) as pool:
-        executor = Executor(SweepPlan(max_workers=2), pool=pool)
-        for _ in range(3):
-            assert values(executor.run(_square, range(4))) == [0, 1, 4, 9]
-        # 12 cells / budget 2 => recycling forced extra forks.
-        assert pool.forks > 2
-
-
 def test_ephemeral_pool_is_torn_down_per_run():
     executor = Executor(SweepPlan(max_workers=2))
     assert values(executor.run(_square, range(4))) == [0, 1, 4, 9]
@@ -118,13 +108,13 @@ def test_executor_on_a_shut_down_pool_raises():
 
 @pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
 def test_sigkill_mid_batch_leaves_no_live_children():
-    # SIGKILL a worker mid-batch (the harshest abnormal exit: no atexit,
+    # SIGKILL a worker mid-sweep (the harshest abnormal exit: no atexit,
     # no signal handler, nothing runs in the worker).  The crash is
     # charged to its own cell only, and once the pool has exited no
     # process it spawned, the killed worker's replacement included, is
     # still alive.
     before = set(multiprocessing.active_children())
-    plan = SweepPlan(max_workers=2, retries=0, batch_size=3)
+    plan = SweepPlan(max_workers=2, retries=0)
     with WorkerPool(max_workers=2) as pool:
         outcomes = Executor(plan, pool=pool).run(
             _sigkill_on_die, ["a", "die", "b", "c", "d", "e"]
@@ -136,3 +126,39 @@ def test_sigkill_mid_batch_leaves_no_live_children():
         )
         assert pool.forks == 3
     assert set(multiprocessing.active_children()) - before == set()
+
+
+def _kill_the_idle_worker(payload):
+    """The quick cell records its worker's pid; the slow cell, running
+    on the other worker, SIGKILLs that now-idle worker mid-sweep."""
+    role, pid_file = payload
+    if role == "quick":
+        with open(pid_file + ".tmp", "w") as fh:
+            fh.write(str(os.getpid()))
+        os.replace(pid_file + ".tmp", pid_file)
+        return role
+    deadline = time.monotonic() + 10
+    while not os.path.exists(pid_file) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    time.sleep(0.2)  # the quick cell's result is sent: its worker is idle
+    with open(pid_file) as fh:
+        os.kill(int(fh.read()), signal.SIGKILL)
+    time.sleep(0.3)  # the parent sees the EOF before this cell returns
+    return role
+
+
+@pytest.mark.skipif(os.name != "posix", reason="needs POSIX signals")
+def test_worker_killed_while_idle_charges_no_cell(tmp_path):
+    # A worker that dies holding no cell costs the sweep a replacement
+    # fork and nothing else: no cell is charged and no retry is spent,
+    # even with retries=0.
+    pid_file = str(tmp_path / "quick.pid")
+    plan = SweepPlan(max_workers=2, retries=0)
+    with WorkerPool(max_workers=2) as pool:
+        outcomes = Executor(plan, pool=pool).run(
+            _kill_the_idle_worker, [("quick", pid_file), ("slow", pid_file)]
+        )
+        assert [o.status for o in outcomes] == ["ok", "ok"]
+        assert [o.value for o in outcomes] == ["quick", "slow"]
+        assert [o.retries for o in outcomes] == [0, 0]
+        assert pool.forks == 3
