@@ -39,18 +39,14 @@ Subpackages
 """
 
 from repro.core import (
-    AlwaysShare,
     DiskSchedPolicy,
     EqualShareContract,
     IsolationParams,
-    NeverShare,
     Resource,
     ResourceLevels,
     SPU,
     SPURegistry,
     SchemeConfig,
-    ShareIdle,
-    SharingPolicy,
     WeightedContract,
     piso_scheme,
     quota_scheme,
@@ -104,10 +100,6 @@ __all__ = [
     "ResourceLevels",
     "SPU",
     "SPURegistry",
-    "SharingPolicy",
-    "NeverShare",
-    "AlwaysShare",
-    "ShareIdle",
     "EqualShareContract",
     "WeightedContract",
     "SchemeConfig",

@@ -16,10 +16,12 @@ Subcommands:
 * ``lint`` — simlint, the simulator's own static analysis
   (``python -m repro lint --baseline lint-baseline.json``).
 
-All subcommands share ``--seed``-style determinism and ``--workers``
-for the parallel sweep executor (1 = in-process, 0 = auto-size).  For
-back-compatibility, bare section names (``python -m repro pmake8
-fig5``) still work and mean ``experiments``.
+The simulating subcommands share ``--seed``-style determinism and
+``--workers`` for the parallel sweep executor (1 = in-process, 0 =
+auto-size), but ``fleet`` needs at least 2: its identity check compares
+worker-process runs with the serial one.  For back-compatibility, bare
+section names (``python -m repro pmake8 fig5``) still work and mean
+``experiments``.
 """
 
 from __future__ import annotations

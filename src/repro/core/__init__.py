@@ -4,15 +4,15 @@
   model per resource.
 * :mod:`repro.core.spu` — SPUs, the registry, and the ``kernel`` /
   ``shared`` default SPUs.
-* :mod:`repro.core.policy` — per-SPU sharing policies.
 * :mod:`repro.core.contracts` — dividing the machine into entitlements.
 * :mod:`repro.core.schemes` — the SMP / Quo / PIso scheme bundles the
-  evaluation compares.
-* :mod:`repro.core.accounting` — decayed bandwidth counters and usage
-  timelines.
+  evaluation compares; their flags carry each scheme's sharing policy
+  (whether idle CPUs and memory are lent).
+* :mod:`repro.core.accounting` — decayed bandwidth counters and
+  per-SPU CPU time.
 """
 
-from repro.core.accounting import CpuTimeAccount, DecayedCounter, UsageSample, UsageTimeline
+from repro.core.accounting import CpuTimeAccount, DecayedCounter
 from repro.core.contracts import (
     ContractError,
     EqualShareContract,
@@ -26,12 +26,6 @@ from repro.core.goals import (
     GoalManager,
     GoalReport,
     VelocityGoal,
-)
-from repro.core.policy import (
-    AlwaysShare,
-    NeverShare,
-    ShareIdle,
-    SharingPolicy,
 )
 from repro.core.resources import MILLI_CPU, Resource, ResourceLevelError, ResourceLevels
 from repro.core.schemes import (
@@ -66,10 +60,6 @@ __all__ = [
     "SPURegistry",
     "KERNEL_SPU_ID",
     "SHARED_SPU_ID",
-    "SharingPolicy",
-    "NeverShare",
-    "AlwaysShare",
-    "ShareIdle",
     "SharingContract",
     "EqualShareContract",
     "ScaledContract",
@@ -82,8 +72,6 @@ __all__ = [
     "VelocityGoal",
     "DecayedCounter",
     "CpuTimeAccount",
-    "UsageSample",
-    "UsageTimeline",
     "DiskSchedPolicy",
     "IsolationParams",
     "SchemeConfig",

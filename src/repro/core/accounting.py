@@ -10,7 +10,6 @@ eagerly-decayed counter would hold at period boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict
 
 from repro.sim.units import MSEC
@@ -67,34 +66,6 @@ class DecayedCounter:
         """Zero the counter."""
         self._value = 0.0
         self._last_decay = now
-
-
-@dataclass
-class UsageSample:
-    """A point-in-time snapshot of one SPU's usage of one resource."""
-
-    time: int
-    entitled: int
-    allowed: int
-    used: int
-
-
-@dataclass
-class UsageTimeline:
-    """An append-only series of :class:`UsageSample` for reporting."""
-
-    samples: list = field(default_factory=list)
-
-    def record(self, time: int, entitled: int, allowed: int, used: int) -> None:
-        self.samples.append(UsageSample(time, entitled, allowed, used))
-
-    def peak_used(self) -> int:
-        return max((s.used for s in self.samples), default=0)
-
-    def mean_used(self) -> float:
-        if not self.samples:
-            return 0.0
-        return sum(s.used for s in self.samples) / len(self.samples)
 
 
 class CpuTimeAccount:

@@ -77,15 +77,6 @@ class ResourceLevels:
         return self.allowed - self.used
 
     @property
-    def idle(self) -> int:
-        """Entitled resources the SPU is not using (lendable surplus).
-
-        Only the part of *entitled* that is unused counts as idle;
-        borrowed headroom is not the SPU's to lend onward.
-        """
-        return max(0, self.entitled - self.used)
-
-    @property
     def borrowed(self) -> int:
         """How far the cap has been raised above the entitlement."""
         return self.allowed - self.entitled
@@ -107,7 +98,7 @@ class ResourceLevels:
         self._check()
 
     def set_allowed(self, value: int) -> None:
-        """Move the cap; used by the sharing policy to lend/revoke."""
+        """Move the cap: lending raises it, revocation lowers it."""
         if value < self.entitled:
             raise ResourceLevelError(
                 f"allowed ({value}) may not drop below entitled ({self.entitled})"

@@ -21,7 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field, replace
 
-from repro.core.policy import AlwaysShare, NeverShare, ShareIdle, SharingPolicy  # noqa: F401
 from repro.sim.units import MSEC
 
 
@@ -90,6 +89,19 @@ class IsolationParams:
                 f"revocation_mode must be 'tick' or 'ipi',"
                 f" got {self.revocation_mode!r}"
             )
+        # Every comparison with NaN is False, so NaN fails each check.
+        checks = (
+            ("time_slice", "> 0", self.time_slice > 0),
+            ("clock_tick", "> 0", self.clock_tick > 0),
+            ("memory_rebalance_period", "> 0", self.memory_rebalance_period > 0),
+            ("disk_decay_period", "> 0", self.disk_decay_period > 0),
+            ("pageout_period", "> 0", self.pageout_period > 0),
+            ("reserve_threshold", "in [0, 1]", 0 <= self.reserve_threshold <= 1),
+            ("bw_difference_threshold", ">= 0", self.bw_difference_threshold >= 0),
+        )
+        for name, rule, ok in checks:
+            if not ok:
+                raise ValueError(f"{name} must be {rule}, got {getattr(self, name)!r}")
         if self.migration_cost < 0 or self.loan_holddown < 0 or self.ipi_cost < 0:
             raise ValueError("costs must be >= 0")
 
@@ -109,8 +121,6 @@ class SchemeConfig:
     mem_sharing: bool
     #: Disk request scheduling policy.
     disk_policy: DiskSchedPolicy
-    #: Default per-SPU sharing policy.
-    sharing_policy: SharingPolicy
     #: Implementation tunables.
     params: IsolationParams = field(default_factory=IsolationParams)
     #: Use SPU-level stride scheduling instead of partitioning (the
@@ -135,7 +145,6 @@ def smp_scheme(params: IsolationParams = IsolationParams()) -> SchemeConfig:
         mem_limits=False,
         mem_sharing=False,
         disk_policy=DiskSchedPolicy.POS,
-        sharing_policy=AlwaysShare(),
         params=params,
     )
 
@@ -149,7 +158,6 @@ def quota_scheme(params: IsolationParams = IsolationParams()) -> SchemeConfig:
         mem_limits=True,
         mem_sharing=False,
         disk_policy=DiskSchedPolicy.ISO,
-        sharing_policy=NeverShare(),
         params=params,
     )
 
@@ -163,7 +171,6 @@ def piso_scheme(params: IsolationParams = IsolationParams()) -> SchemeConfig:
         mem_limits=True,
         mem_sharing=True,
         disk_policy=DiskSchedPolicy.PISO,
-        sharing_policy=ShareIdle(),
         params=params,
     )
 
@@ -183,7 +190,6 @@ def stride_scheme(params: IsolationParams = IsolationParams()) -> SchemeConfig:
         mem_limits=True,
         mem_sharing=True,
         disk_policy=DiskSchedPolicy.PISO,
-        sharing_policy=ShareIdle(),
         params=params,
         cpu_stride=True,
     )

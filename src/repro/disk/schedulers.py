@@ -180,8 +180,10 @@ class FairCScanScheduler(DiskScheduler):
     name = "piso"
 
     def __init__(self, bw_difference_threshold: float):
-        if bw_difference_threshold < 0:
-            raise ValueError("threshold must be >= 0")
+        if not bw_difference_threshold >= 0:  # NaN fails too
+            raise ValueError(
+                f"threshold must be >= 0, got {bw_difference_threshold}"
+            )
         self.bw_difference_threshold = bw_difference_threshold
 
     def eligible(

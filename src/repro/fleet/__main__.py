@@ -1,9 +1,9 @@
 """``python -m repro fleet`` — the fleet failover smoke gate.
 
 Runs a small seeded fleet (two machines, one whole-machine crash)
-in-process, then sends one copy of its spec per ``--workers`` through
-the parallel sweep executor — so with two or more workers every copy
-runs in a worker process — and gates on the two things CI cares about:
+in-process, then sends one copy of its spec per ``--workers`` (at
+least 2) through the parallel sweep executor, so every copy runs in a
+worker process, and gates on the two things CI cares about:
 
 * the fleet watchdog found no conservation violations (no SPU lost,
   progress and capacity conserved across the failover), and
@@ -89,10 +89,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--horizon", type=int, default=600 * MSEC,
                         metavar="US")
     parser.add_argument("--workers", type=int, default=2,
-                        help="sweep workers for the parallel leg")
+                        help="sweep workers for the parallel leg; at least 2,"
+                        " or the leg would run in-process")
     parser.add_argument("--json", action="store_true",
                         help="print the serial record as JSON")
     args = parser.parse_args(argv)
+    if args.workers < 2:
+        parser.error(f"--workers must be at least 2, got {args.workers}: with"
+                     " fewer, the serial-vs-parallel check compares two"
+                     " in-process runs")
 
     spec = smoke_spec(
         scheme=args.scheme, seed=args.seed, machines=args.machines,
@@ -102,7 +107,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     serial = run_fleet_record(payload)
     # One copy per worker: the executor runs a one-cell sweep in-process.
     outcomes = Executor(SweepPlan(max_workers=args.workers)).run(
-        run_fleet_record, [payload] * max(1, args.workers)
+        run_fleet_record, [payload] * args.workers
     )
     errored = next((o for o in outcomes if not o.ok), None)
     differs = next(

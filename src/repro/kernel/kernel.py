@@ -58,7 +58,6 @@ from repro.mem.pageout import PageoutDaemon
 from repro.mem.sharing import MemorySharingDaemon
 from repro.mem.workingset import WorkingSetModel
 from repro.sim.engine import Engine
-from repro.sim.trace import NullTracer, Tracer
 from repro.sim.units import SECTORS_PER_PAGE
 
 
@@ -71,13 +70,10 @@ class KernelError(RuntimeError):
 class Kernel:  # simlint: disable=SL401
     """Boots the machine and interprets process behaviour."""
 
-    def __init__(self, config: MachineConfig, tracer: Optional[Tracer] = None):
+    def __init__(self, config: MachineConfig):
         self.config = config
         self.scheme = config.scheme
         self.engine = Engine(config.seed)
-        #: Structured event trace; a NullTracer (free) unless one is
-        #: passed in.  Categories: proc, sched, mem.
-        self.tracer = tracer if tracer is not None else NullTracer()
         self.registry = SPURegistry()
         self.memory = MemoryManager(
             self.registry,
@@ -413,9 +409,6 @@ class Kernel:  # simlint: disable=SL401
         self.processes[pid] = proc
         self.registry.assign(pid, spu)
         proc._ws_rng = self.engine.fork_rng(f"ws-{pid}")  # type: ignore[attr-defined]
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "proc", "spawn",
-                             pid=pid, name=proc.name, spu=spu.spu_id)
         self._advance(proc)
         return proc
 
@@ -613,9 +606,6 @@ class Kernel:  # simlint: disable=SL401
             self._preempt(cpu, dispatch=False)
         self._note_capacity_change(len(online) - 1)
         self.cpus_removed += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "fault", "cpu_remove",
-                             cpu=cpu.cpu_id, online=len(online) - 1)
         self.rebalance_spus()
         return cpu.cpu_id
 
@@ -635,8 +625,6 @@ class Kernel:  # simlint: disable=SL401
         cpu.online = True
         self._note_capacity_change(len(sched.online_processors()))
         self.cpus_added += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "fault", "cpu_add", cpu=cpu.cpu_id)
         self.rebalance_spus()
         self._dispatch(cpu)
         return cpu.cpu_id
@@ -651,9 +639,6 @@ class Kernel:  # simlint: disable=SL401
         of pages actually removed.
         """
         removed = self.memory.decommission(pages, evict=self._evict_for_fault)
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "fault", "mem_remove",
-                             pages=removed, requested=pages)
         if self._booted:
             self.rebalance_spus()
         return removed
@@ -700,10 +685,6 @@ class Kernel:  # simlint: disable=SL401
             if dest == disk_id:
                 self._disk_redirect[earlier] = target
         self.fs.retarget_drive(disk_id, target)
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "fault", "disk_fail",
-                             disk=disk_id, failover=target,
-                             orphans=len(orphans))
         for request in orphans:
             self._reroute_failed(disk_id, request)
         return target
@@ -806,9 +787,6 @@ class Kernel:  # simlint: disable=SL401
                     self.spawn_denials[spu.spu_id] = (
                         self.spawn_denials.get(spu.spu_id, 0) + 1
                     )
-                    if self.tracer.enabled:
-                        self.tracer.emit(self.engine.now, "proc", "spawn_denied",
-                                         pid=proc.pid, spu=spu.spu_id)
                     proc.state = ProcessState.BLOCKED
                     self.engine.call_after(
                         max(1, self.overload.spawn_backoff_us),
@@ -907,9 +885,6 @@ class Kernel:  # simlint: disable=SL401
         if limit is not None and self._io_inflight.get(spu_id, 0) >= limit:
             if self.engine.now - issued_at >= self.overload.io_deadline_us:
                 self.io_rejected[spu_id] = self.io_rejected.get(spu_id, 0) + 1
-                if self.tracer.enabled:
-                    self.tracer.emit(self.engine.now, "io", "rejected",
-                                     pid=proc.pid, spu=spu_id)
                 self._resume_value(proc, -1)
                 return
             if not throttled:
@@ -976,9 +951,6 @@ class Kernel:  # simlint: disable=SL401
             proc.behavior.close()
         except Exception:  # pragma: no cover - misbehaving generator
             pass
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "proc", "kill",
-                             pid=proc.pid, spu=proc.spu_id, reason=reason)
         self._exit(proc)
         if cpu is not None:
             self._dispatch(cpu)
@@ -1074,10 +1046,6 @@ class Kernel:  # simlint: disable=SL401
     def _exit(self, proc: Process) -> None:
         proc.state = ProcessState.EXITED
         proc.finished = self.engine.now
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "proc", "exit",
-                             pid=proc.pid, response_us=proc.response_us,
-                             cpu_us=proc.cpu_time_us, faults=proc.fault_count)
         self.memory.free_n(proc.spu_id, proc.resident)
         proc.resident = 0
         self.registry.remove(proc.pid)
@@ -1175,9 +1143,6 @@ class Kernel:  # simlint: disable=SL401
         proc = self.cpusched.pick(cpu, self.engine._now)
         if proc is None:
             return
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "sched", "dispatch",
-                             cpu=cpu.cpu_id, pid=proc.pid, loan=cpu.on_loan)
         self._begin_slice(cpu, proc)
 
     def _begin_slice(self, cpu: Processor, proc: Process) -> None:
@@ -1245,9 +1210,6 @@ class Kernel:  # simlint: disable=SL401
         proc = cpu.running
         if proc is None:
             return
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "sched", "preempt",
-                             cpu=cpu.cpu_id, pid=proc.pid, loan=cpu.on_loan)
         if cpu.on_loan and self.scheme.params.loan_holddown:
             cpu.no_loan_until = self.engine.now + self.scheme.params.loan_holddown
         if proc.slice_handle is not None:
@@ -1333,10 +1295,6 @@ class Kernel:  # simlint: disable=SL401
         """
         proc.state = ProcessState.BLOCKED
         proc.fault_count += 1
-        if self.tracer.enabled:
-            self.tracer.emit(self.engine.now, "mem", "fault",
-                             pid=proc.pid, resident=proc.resident,
-                             paged_out=proc.paged_out)
         assert proc.working_set is not None
         want = proc.working_set.pages_per_fault(proc.resident)
         # Bulk-grant what fits outright (no denial bookkeeping), then

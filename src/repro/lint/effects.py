@@ -45,7 +45,6 @@ from repro.lint.summaries import (
     EffectSite,
     FunctionSummary,
     LOCAL_RULE,
-    TAINT_KINDS,
     Taint,
     WriteSite,
 )
@@ -406,13 +405,6 @@ def analyze_paths(paths: Iterable[str],
         with open(path, "r", encoding="utf-8") as handle:
             sources.append((display_path(path, root), handle.read(), None))
     return EffectAnalysis.from_sources(sources)
-
-
-def _literal_str_arg(node: ast.Call) -> Optional[str]:
-    if node.args and isinstance(node.args[0], ast.Constant) and \
-            isinstance(node.args[0].value, str):
-        return node.args[0].value
-    return None
 
 
 def _str_expr(expr: ast.AST, mi, modules) -> Optional[str]:

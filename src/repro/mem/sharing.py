@@ -32,8 +32,7 @@ from __future__ import annotations
 from typing import Callable, Dict, Optional
 
 from repro.core.contracts import SharingContract
-from repro.core.resources import Resource
-from repro.core.spu import SPU, SPURegistry
+from repro.core.spu import SPURegistry
 from repro.mem.manager import MemoryManager
 from repro.sim.engine import Engine, PeriodicTimer
 
@@ -143,14 +142,12 @@ class MemorySharingDaemon:
         """Lend idle pages to pressured SPUs; shrink stale loans."""
         pressured = [s for s in users if denials.get(s.spu_id, 0) > 0]
 
-        # Idle supply: what the lenders' policies are willing to give,
-        # bounded by actually-free memory beyond the Reserve Threshold.
-        policy = self.manager.scheme.sharing_policy
-        willing = sum(policy.lendable(s, Resource.MEMORY) for s in users)
-        free_beyond_reserve = max(
-            0, self.manager.free_pages - self.manager.reserve_pages
-        )
-        excess = min(willing, free_beyond_reserve)
+        # Idle supply: free memory beyond the Reserve Threshold.  It
+        # needs no cap at the lenders' unused entitlement: entitlements
+        # divide ``user_pool()`` exactly, which by page conservation is
+        # the free list plus the active SPUs' use, so
+        # sum(max(0, entitled - used)) >= free pages.
+        excess = max(0, self.manager.free_pages - self.manager.reserve_pages)
 
         # First shrink every cap to its floor; loans are then re-granted
         # from scratch, which both revokes stale loans and keeps the

@@ -7,7 +7,6 @@ or disks.
 """
 
 from repro.sim.engine import Engine, EventHandle, PeriodicTimer, SimulationError
-from repro.sim.trace import NullTracer, TraceRecord, Tracer
 from repro.sim import units
 
 __all__ = [
@@ -15,8 +14,5 @@ __all__ = [
     "EventHandle",
     "PeriodicTimer",
     "SimulationError",
-    "Tracer",
-    "NullTracer",
-    "TraceRecord",
     "units",
 ]

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core import CpuTimeAccount, DecayedCounter
-from repro.core.accounting import AccountingError, UsageTimeline
+from repro.core.accounting import AccountingError
 
 
 class TestDecayedCounter:
@@ -106,17 +106,3 @@ class TestCpuTimeAccount:
         snapshot = account.as_dict()
         snapshot[1] = 999
         assert account.total(1) == 10
-
-
-class TestUsageTimeline:
-    def test_peak_and_mean(self):
-        timeline = UsageTimeline()
-        timeline.record(0, 10, 10, 4)
-        timeline.record(1, 10, 10, 8)
-        assert timeline.peak_used() == 8
-        assert timeline.mean_used() == 6.0
-
-    def test_empty_timeline(self):
-        timeline = UsageTimeline()
-        assert timeline.peak_used() == 0
-        assert timeline.mean_used() == 0.0

@@ -97,12 +97,6 @@ class TestDerived:
     def test_headroom(self):
         assert ResourceLevels(entitled=5, allowed=8, used=3).headroom == 5
 
-    def test_idle_is_unused_entitlement(self):
-        assert ResourceLevels(entitled=5, allowed=5, used=2).idle == 3
-
-    def test_idle_never_negative(self):
-        assert ResourceLevels(entitled=2, allowed=8, used=6).idle == 0
-
     def test_borrowed(self):
         assert ResourceLevels(entitled=5, allowed=9, used=6).borrowed == 4
 
@@ -135,10 +129,3 @@ def test_property_invariants_hold_under_any_op_sequence(entitled, lend, ops):
             pass
         assert 0 <= levels.used <= levels.allowed
         assert levels.entitled <= levels.allowed
-
-
-@given(entitled=st.integers(0, 100), used=st.integers(0, 100))
-def test_property_idle_plus_used_covers_entitled(entitled, used):
-    used = min(used, entitled)
-    levels = ResourceLevels(entitled=entitled, allowed=entitled, used=used)
-    assert levels.idle + levels.used == max(levels.entitled, levels.used)

@@ -3,11 +3,8 @@
 import pytest
 
 from repro.core import (
-    AlwaysShare,
     DiskSchedPolicy,
     IsolationParams,
-    NeverShare,
-    ShareIdle,
     piso_scheme,
     quota_scheme,
     scheme_by_name,
@@ -21,7 +18,6 @@ class TestSchemeBundles:
         assert not scheme.cpu_partitioned
         assert not scheme.mem_limits
         assert scheme.disk_policy is DiskSchedPolicy.POS
-        assert isinstance(scheme.sharing_policy, AlwaysShare)
 
     def test_quota_isolates_without_sharing(self):
         scheme = quota_scheme()
@@ -29,7 +25,6 @@ class TestSchemeBundles:
         assert not scheme.cpu_lending
         assert scheme.mem_limits
         assert not scheme.mem_sharing
-        assert isinstance(scheme.sharing_policy, NeverShare)
 
     def test_piso_isolates_and_shares(self):
         scheme = piso_scheme()
@@ -38,7 +33,6 @@ class TestSchemeBundles:
         assert scheme.mem_limits
         assert scheme.mem_sharing
         assert scheme.disk_policy is DiskSchedPolicy.PISO
-        assert isinstance(scheme.sharing_policy, ShareIdle)
 
     def test_with_disk_policy_copies(self):
         scheme = piso_scheme()
@@ -60,6 +54,39 @@ class TestParams:
         assert params.clock_tick == 10_000
         assert params.reserve_threshold == 0.08
         assert params.disk_decay_period == 500_000
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bw_difference_threshold", float("nan")),
+            ("bw_difference_threshold", -1.0),
+            ("reserve_threshold", 1.5),
+            ("reserve_threshold", -0.1),
+            ("reserve_threshold", float("nan")),
+            ("time_slice", 0),
+            ("time_slice", -1),
+            ("clock_tick", 0),
+            ("memory_rebalance_period", 0),
+            ("disk_decay_period", 0),
+            ("pageout_period", 0),
+        ],
+    )
+    def test_bad_tunable_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            IsolationParams(**{field: value})
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("bw_difference_threshold", 0.0),
+            ("bw_difference_threshold", float("inf")),
+            ("reserve_threshold", 0.0),
+            ("reserve_threshold", 1.0),
+            ("time_slice", 1),
+        ],
+    )
+    def test_range_limits_accepted(self, field, value):
+        assert getattr(IsolationParams(**{field: value}), field) == value
 
 
 class TestLookup:

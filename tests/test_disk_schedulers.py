@@ -174,6 +174,12 @@ class TestFairCScan:
         with pytest.raises(ValueError):
             FairCScanScheduler(bw_difference_threshold=-1.0)
 
+    def test_nan_threshold_rejected(self):
+        # NaN would fail every SPU's criterion, and the fallback would
+        # then pass them all: pure C-SCAN.
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            FairCScanScheduler(bw_difference_threshold=float("nan"))
+
 
 class TestFactory:
     @pytest.mark.parametrize(

@@ -2,6 +2,8 @@
 
 from fractions import Fraction
 
+import pytest
+
 from repro.faults.fleet import (
     FleetFaultPlan,
     MachineCrash,
@@ -247,6 +249,19 @@ class TestDeterminism:
         assert fleet_main.main(["--scheme", "piso", "--workers", "2"]) == 0
         assert len(seen) == 2
         assert all(o.ok and o.worker >= 0 for o in seen)
+
+    @pytest.mark.parametrize("workers", ["1", "0", "-3"])
+    def test_smoke_cli_refuses_fewer_than_two_workers(self, workers, capsys):
+        # Below 2 the executor runs the parallel leg in-process, so the
+        # identity check would compare two in-process runs.
+        import repro.fleet.__main__ as fleet_main
+
+        with pytest.raises(SystemExit) as exc:
+            fleet_main.main(["--workers", workers])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--workers must be at least 2" in err
+        assert "in-process" in err
 
     def test_seed_changes_the_journal(self):
         spec_a = two_machine_fleet(seed=0)

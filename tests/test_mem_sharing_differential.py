@@ -1,14 +1,22 @@
-"""The memory daemon's gate changes nothing: gated against ungated runs.
+"""The memory daemon against two oracles: its gate and its loan pool.
 
 The daemon's timer skips a pass while the daemon is settled.  The
-ungated oracle here patches the timer callback to run the full pass
-every period instead; ``src`` has no switch for it.  Every run below is
-made both ways.  At every
-daemon firing both must hold the same (entitled, allowed, used) for
-every SPU and the same loans, and at the end the same journal digest
-and the same event count.  The runs reach paths no experiment does:
-memory loss in the fuzz corpus, goal control re-weighting an adaptive
-contract, and SPUs added, suspended, resumed and retired mid-run.
+ungated oracle patches the timer callback to run the full pass every
+period instead; ``src`` has no switch for it.
+
+A lending pass lends the free pages beyond the Reserve Threshold.  The
+capped oracle patches ``_share_idle`` to the formula it replaced, which
+also capped that pool at the lenders' summed unused entitlement
+(``capped_share_idle``, a test-only reference).  The cap never binds, as
+the daemon's comment derives, so the two must agree.
+
+Every run below is made three ways: as it is, ungated and capped.  At
+every daemon firing each oracle must hold the same (entitled, allowed,
+used) for every SPU and the same loans as the run as it is, and at the
+end the same journal digest and the same event count.  The runs reach
+paths no experiment does: memory loss in the fuzz corpus, goal control
+re-weighting an adaptive contract, and SPUs added, suspended, resumed
+and retired mid-run.
 """
 
 import hashlib
@@ -32,16 +40,40 @@ from repro.sim.units import MSEC, msecs
 
 GATED = MemorySharingDaemon._periodic
 UNGATED = MemorySharingDaemon.rebalance
+SHARE_IDLE = MemorySharingDaemon._share_idle
 KERNEL_RUN = Kernel.run
 
 
-def traced(run, gated):
+def capped_share_idle(daemon, users, denials):
+    """``_share_idle`` with the lenders' cap on the loan pool (test-only).
+
+    The pool is ``min(sum(max(0, entitled - used)), max(0, free -
+    reserve))``; the rest of the pass is a copy of the daemon's.
+    """
+    pressured = [s for s in users if denials.get(s.spu_id, 0) > 0]
+    willing = sum(max(0, s.memory().entitled - s.memory().used) for s in users)
+    manager = daemon.manager
+    excess = min(willing, max(0, manager.free_pages - manager.reserve_pages))
+    for spu in users:
+        levels = spu.memory()
+        levels.set_allowed(max(levels.entitled, levels.used))
+    if excess <= 0 or not pressured:
+        return
+    total_denials = sum(denials[s.spu_id] for s in pressured)
+    for spu in pressured:
+        share = round(excess * denials[spu.spu_id] / total_denials)
+        if share <= 0:
+            continue
+        levels = spu.memory()
+        levels.set_allowed(levels.allowed + share)
+
+
+def traced(run, periodic=GATED, share_idle=SHARE_IDLE):
     """``run()``'s outcome, event counts, and the books at each firing.
 
     Also returns how many firings found the daemon settled, which the
     gated side skips.
     """
-    callback = GATED if gated else UNGATED
     firings = []
     events = []
     settled = 0
@@ -49,7 +81,7 @@ def traced(run, gated):
     def fire(daemon):
         nonlocal settled
         settled += daemon.settled
-        callback(daemon)
+        periodic(daemon)
         books = [
             (s.spu_id, s.memory().entitled, s.memory().allowed, s.memory().used)
             for s in daemon.registry.all_spus()
@@ -63,17 +95,21 @@ def traced(run, gated):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(MemorySharingDaemon, "_periodic", fire)
+        mp.setattr(MemorySharingDaemon, "_share_idle", share_idle)
         mp.setattr(Kernel, "run", counted_run)
         outcome = run()
     return (outcome, events, firings), settled
 
 
-def assert_gate_changes_nothing(run):
-    """Returns the number of passes the gate skipped."""
-    gated, skipped = traced(run, gated=True)
-    ungated, _ = traced(run, gated=False)
-    assert gated == ungated
-    return skipped
+def assert_oracles_agree(run):
+    """Returns the passes the gate skipped and the firings with loans."""
+    subject, skipped = traced(run)
+    ungated, _ = traced(run, periodic=UNGATED)
+    assert subject == ungated
+    capped, _ = traced(run, share_idle=capped_share_idle)
+    assert subject == capped
+    firings = subject[2]
+    return skipped, sum(1 for _, _, loans in firings if loans)
 
 
 def digest(lines):
@@ -110,7 +146,7 @@ def test_fuzz_cell(seed):
         result = run_scenario(scenario, simsan=False)
         return result.digest(), result.events
 
-    assert_gate_changes_nothing(run)
+    assert_oracles_agree(run)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -120,7 +156,7 @@ def test_chaos_soak(seed):
     def run():
         return digest(run_chaos(plan).journal)
 
-    assert_gate_changes_nothing(run)
+    assert_oracles_agree(run)
 
 
 def test_goal_control_reweighting_an_adaptive_contract():
@@ -139,7 +175,8 @@ def test_goal_control_reweighting_an_adaptive_contract():
         weights = [goals.contract.weight_of(n) for n in "ab"]
         return kernel_journal(kernel), weights, len(goals.history)
 
-    assert assert_gate_changes_nothing(run) > 0
+    skipped, lending = assert_oracles_agree(run)
+    assert skipped > 0 and lending > 0
 
 
 def test_spus_added_suspended_resumed_and_retired():
@@ -172,4 +209,5 @@ def test_spus_added_suspended_resumed_and_retired():
         states = [s.state.value for s in (a, b, idle)]
         return kernel_journal(kernel), states, kernel.renegotiations
 
-    assert assert_gate_changes_nothing(run) > 0
+    skipped, lending = assert_oracles_agree(run)
+    assert skipped > 0 and lending > 0

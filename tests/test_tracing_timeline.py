@@ -1,4 +1,4 @@
-"""Tests for kernel tracing and the utilization sampler."""
+"""Tests for the utilization sampler."""
 
 import pytest
 
@@ -6,7 +6,6 @@ from repro.core import piso_scheme
 from repro.disk.model import fast_disk
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, SetWorkingSet
 from repro.metrics import UtilizationSampler
-from repro.sim import Tracer
 from repro.sim.units import msecs
 
 
@@ -18,64 +17,6 @@ def machine(seed=0):
 
 def spinner(ms):
     yield Compute(msecs(ms))
-
-
-class TestKernelTracing:
-    def test_default_tracer_is_free(self):
-        kernel = Kernel(machine())
-        assert not kernel.tracer.enabled
-        spu = kernel.create_spu("u")
-        kernel.boot()
-        kernel.spawn(spinner(10), spu)
-        kernel.run()
-        assert len(kernel.tracer) == 0
-
-    def test_spawn_and_exit_traced(self):
-        tracer = Tracer(categories=["proc"])
-        kernel = Kernel(machine(), tracer=tracer)
-        spu = kernel.create_spu("u")
-        kernel.boot()
-        kernel.spawn(spinner(10), spu, name="traced")
-        kernel.run()
-        kinds = [r.message for r in tracer.by_category("proc")]
-        assert kinds == ["spawn", "exit"]
-        assert tracer.records[0].fields["name"] == "traced"
-
-    def test_dispatch_traced(self):
-        tracer = Tracer(categories=["sched"])
-        kernel = Kernel(machine(), tracer=tracer)
-        spu = kernel.create_spu("u")
-        kernel.boot()
-        kernel.spawn(spinner(100), spu)
-        kernel.run()
-        dispatches = [r for r in tracer.records if r.message == "dispatch"]
-        assert dispatches
-        assert "cpu" in dispatches[0].fields
-
-    def test_faults_traced(self):
-        tracer = Tracer(categories=["mem"])
-        kernel = Kernel(machine(), tracer=tracer)
-        spu = kernel.create_spu("u")
-        kernel.boot()
-
-        def job():
-            yield SetWorkingSet(64, fault_cluster_pages=16)
-            yield Compute(msecs(50))
-
-        kernel.spawn(job(), spu)
-        kernel.run()
-        assert tracer.by_category("mem")
-
-    def test_loan_flag_in_dispatch(self):
-        tracer = Tracer(categories=["sched"])
-        kernel = Kernel(machine(), tracer=tracer)
-        a = kernel.create_spu("a")
-        kernel.create_spu("b")
-        kernel.boot()
-        kernel.spawn(spinner(100), a)
-        kernel.spawn(spinner(100), a)  # second proc borrows b's CPU
-        kernel.run()
-        assert any(r.fields.get("loan") for r in tracer.records)
 
 
 class TestUtilizationSampler:
