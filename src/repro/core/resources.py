@@ -72,11 +72,6 @@ class ResourceLevels:
     # --- queries -----------------------------------------------------------
 
     @property
-    def headroom(self) -> int:
-        """How much more the SPU may use before hitting its cap."""
-        return self.allowed - self.used
-
-    @property
     def borrowed(self) -> int:
         """How far the cap has been raised above the entitlement."""
         return self.allowed - self.entitled

@@ -131,10 +131,6 @@ class SchemeConfig:
         """A copy of this scheme with a different disk policy."""
         return replace(self, disk_policy=policy)
 
-    def with_params(self, params: IsolationParams) -> "SchemeConfig":
-        """A copy of this scheme with different tunables."""
-        return replace(self, params=params)
-
 
 def smp_scheme(params: IsolationParams = IsolationParams()) -> SchemeConfig:
     """Stock SMP: unconstrained sharing, no isolation (Table 2, "SMP")."""

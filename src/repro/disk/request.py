@@ -1,4 +1,4 @@
-"""Disk request representation and per-request statistics."""
+"""Disk request representation and per-SPU drive statistics."""
 
 from __future__ import annotations
 
@@ -89,58 +89,94 @@ class DiskRequest:
         return self.finish_time - self.enqueue_time
 
 
-@dataclass
-class DiskStats:
-    """Aggregated statistics over completed requests on one drive."""
+# Columns of DiskStats' per-SPU totals.
+_COUNT, _SECTORS, _WAIT, _SERVICE, _SEEK, _UNSERVICED = range(6)
 
-    completed: List[DiskRequest] = field(default_factory=list)
-    #: Service attempts that came back with a transient I/O error.
-    transient_errors: int = 0
-    #: Retries issued after transient errors (= errors that were not
-    #: terminal for their request).
-    retries: int = 0
-    #: Requests that exhausted their retry budget or deadline and
-    #: completed with ``failed=True``.
-    failed_requests: int = 0
-    #: Sectors moved by *successful* completions — exactly the sectors
-    #: the drive charges to its bandwidth ledger, so the sanitizer can
-    #: check conservation without walking ``completed``.
-    ok_sectors: int = 0
+
+class DiskStats:
+    """Per-SPU totals over the completed requests on one drive.
+
+    Integer sums, not a list of requests, so a drive's memory is
+    bounded by its queue rather than by everything it ever served (a
+    finished request would keep its completion closure and, for
+    writeback, its flushed cache blocks alive).  Every mean is the
+    same integer sum divided the same way as over a list, so answers
+    are bit-identical to summing the requests.
+    """
+
+    __slots__ = (
+        "transient_errors", "retries", "failed_requests", "ok_sectors",
+        "_per_spu",
+    )
+
+    def __init__(self) -> None:
+        #: Service attempts that came back with a transient I/O error.
+        self.transient_errors = 0
+        #: Retries issued after transient errors (= errors that were not
+        #: terminal for their request).
+        self.retries = 0
+        #: Requests that exhausted their retry budget or deadline and
+        #: completed with ``failed=True``.
+        self.failed_requests = 0
+        #: Sectors moved by *successful* completions — exactly the
+        #: sectors the drive charges to its bandwidth ledger, so the
+        #: sanitizer can check conservation against it.
+        self.ok_sectors = 0
+        #: spu_id -> [count, sectors, wait µs, service µs, seek µs,
+        #: requests recorded before service began].
+        self._per_spu: Dict[int, List[int]] = {}
 
     def record(self, request: DiskRequest) -> None:
-        self.completed.append(request)
         if request.failed:
             self.failed_requests += 1
         else:
             self.ok_sectors += request.nsectors
+        totals = self._per_spu.get(request.spu_id)
+        if totals is None:
+            totals = self._per_spu[request.spu_id] = [0, 0, 0, 0, 0, 0]
+        totals[_COUNT] += 1
+        totals[_SECTORS] += request.nsectors
+        if request.start_time < 0 or request.enqueue_time < 0:
+            # Its wait is undefined; mean_wait_ms raises, as wait_us does.
+            totals[_UNSERVICED] += 1
+        else:
+            totals[_WAIT] += request.start_time - request.enqueue_time
+        totals[_SERVICE] += request.service_us
+        totals[_SEEK] += request.seek_us
 
-    def for_spu(self, spu_id: int) -> List[DiskRequest]:
-        return [r for r in self.completed if r.spu_id == spu_id]
+    @property
+    def busy_us(self) -> int:
+        """Mechanical service time of every recorded request."""
+        return self._total(_SERVICE, None)
+
+    def _total(self, column: int, spu_id: Optional[int]) -> int:
+        if spu_id is None:
+            return sum(totals[column] for totals in self._per_spu.values())
+        totals = self._per_spu.get(spu_id)
+        return totals[column] if totals is not None else 0
+
+    def _mean_ms(self, column: int, spu_id: Optional[int]) -> float:
+        count = self._total(_COUNT, spu_id)
+        if not count:
+            return 0.0
+        return self._total(column, spu_id) / count / 1000.0
 
     def mean_wait_ms(self, spu_id: Optional[int] = None) -> float:
         """Average queue wait in milliseconds (per SPU or overall)."""
-        reqs = self.completed if spu_id is None else self.for_spu(spu_id)
-        if not reqs:
-            return 0.0
-        return sum(r.wait_us for r in reqs) / len(reqs) / 1000.0
+        if self._total(_UNSERVICED, spu_id):
+            raise ValueError("request has not been serviced yet")
+        return self._mean_ms(_WAIT, spu_id)
 
     def mean_latency_ms(self, spu_id: Optional[int] = None) -> float:
         """Average mechanical latency (seek+rotation+transfer) in ms."""
-        reqs = self.completed if spu_id is None else self.for_spu(spu_id)
-        if not reqs:
-            return 0.0
-        return sum(r.service_us for r in reqs) / len(reqs) / 1000.0
+        return self._mean_ms(_SERVICE, spu_id)
 
     def mean_seek_ms(self, spu_id: Optional[int] = None) -> float:
         """Average seek component in milliseconds."""
-        reqs = self.completed if spu_id is None else self.for_spu(spu_id)
-        if not reqs:
-            return 0.0
-        return sum(r.seek_us for r in reqs) / len(reqs) / 1000.0
+        return self._mean_ms(_SEEK, spu_id)
 
     def total_sectors(self, spu_id: Optional[int] = None) -> int:
-        reqs = self.completed if spu_id is None else self.for_spu(spu_id)
-        return sum(r.nsectors for r in reqs)
+        return self._total(_SECTORS, spu_id)
 
     def count(self, spu_id: Optional[int] = None) -> int:
-        return len(self.completed if spu_id is None else self.for_spu(spu_id))
+        return self._total(_COUNT, spu_id)

@@ -755,7 +755,10 @@ class Kernel:  # simlint: disable=SL401
                 self._make_runnable(proc)
                 return
             if kind is Checkpoint:
-                proc.checkpoints.append((op.label, self.engine._now))
+                # Two C-level appends, no Python call: see CheckpointLog.
+                log = proc.checkpoints
+                log.labels.append(op.label)
+                log.times.append(self.engine._now)
                 continue
             if kind is Sleep:
                 proc.state = ProcessState.BLOCKED

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import enum
-from typing import TYPE_CHECKING, Optional, Set
+from array import array
+from typing import TYPE_CHECKING, Iterator, List, Optional, Set, Tuple
 
 from repro.cpu.priorities import ProcessPriority
 from repro.kernel.syscalls import Behavior
@@ -20,6 +21,30 @@ class ProcessState(enum.Enum):
     RUNNING = "running"
     BLOCKED = "blocked"
     EXITED = "exited"
+
+
+class CheckpointLog:
+    """The ``(label, time)`` markers a process's Checkpoint ops recorded.
+
+    Two columns rather than a list of tuples: ``labels`` holds
+    references to the ops' label strings and ``times`` an
+    ``array('q')`` of simulated µs, so a marker costs about 16 bytes
+    instead of a tuple and an int object.  Iterating yields the pairs
+    in record order.  The kernel appends to both columns directly;
+    nothing else writes them.
+    """
+
+    __slots__ = ("labels", "times")
+
+    def __init__(self) -> None:
+        self.labels: List[str] = []
+        self.times = array("q")
+
+    def __len__(self) -> int:
+        return len(self.labels)
+
+    def __iter__(self) -> Iterator[Tuple[str, int]]:
+        return zip(self.labels, self.times)
 
 
 class Process:
@@ -101,7 +126,7 @@ class Process:
         self.cpu_time_us = 0
         self.fault_count = 0
         #: (label, time) markers recorded by Checkpoint ops.
-        self.checkpoints: list = []
+        self.checkpoints = CheckpointLog()
 
     # --- derived ---------------------------------------------------------
 

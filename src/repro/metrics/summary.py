@@ -116,7 +116,7 @@ def machine_report(kernel: "Kernel") -> MachineReport:
         )
     disks = []
     for drive in kernel.drives:
-        busy = sum(r.service_us for r in drive.stats.completed)
+        busy = drive.stats.busy_us
         disks.append(
             DiskSummary(
                 disk_id=drive.disk_id,

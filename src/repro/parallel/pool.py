@@ -31,6 +31,7 @@ the payload out and the pickled result back.
 from __future__ import annotations
 
 import atexit
+import gc
 import multiprocessing
 import os
 import time
@@ -93,6 +94,14 @@ def _worker_main(conn) -> None:
         except Exception as exc:
             conn.send(("error", None, f"result is not picklable: {exc!r}",
                        0.0))
+        # A finished simulation is cyclic garbage, which reference
+        # counting never frees, and full collections run rarely.  Drop
+        # this cell's references and collect now, so the worker's peak
+        # memory is one cell rather than however many the oldest
+        # generation has piled up.
+        del task, fn, payload, message
+        value = None  # (unbound when the cell raised)
+        gc.collect()
 
 
 # --- parent side -----------------------------------------------------------

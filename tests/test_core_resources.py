@@ -94,9 +94,6 @@ class TestMutations:
 
 
 class TestDerived:
-    def test_headroom(self):
-        assert ResourceLevels(entitled=5, allowed=8, used=3).headroom == 5
-
     def test_borrowed(self):
         assert ResourceLevels(entitled=5, allowed=9, used=6).borrowed == 4
 

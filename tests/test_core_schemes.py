@@ -41,11 +41,6 @@ class TestSchemeBundles:
         assert scheme.disk_policy is DiskSchedPolicy.PISO
         assert modified.name == scheme.name
 
-    def test_with_params_copies(self):
-        params = IsolationParams(bw_difference_threshold=7.0)
-        modified = piso_scheme().with_params(params)
-        assert modified.params.bw_difference_threshold == 7.0
-
 
 class TestParams:
     def test_paper_defaults(self):

@@ -27,6 +27,7 @@ from repro.kernel import Compute, DiskSpec, Kernel, KernelError, MachineConfig, 
 from repro.metrics.summary import format_report, machine_report
 from repro.sim import Engine
 from repro.sim.units import KB, MSEC, SEC, msecs
+from tests.disk_recorder import record_requests
 
 
 def machine(scheme=None, ncpus=4, memory_mb=16, ndisks=2, seed=0):
@@ -579,6 +580,7 @@ class TestFaultDeterminism:
         a = kernel.create_spu("a")
         b = kernel.create_spu("b")
         kernel.boot()
+        recorded = [record_requests(d) for d in kernel.drives]
         watchdog = InvariantWatchdog(kernel)
         watchdog.start()
         FaultInjector(kernel, FaultPlan([
@@ -604,8 +606,8 @@ class TestFaultDeterminism:
             kernel.engine.now,
             tuple(
                 (r.spu_id, r.sector, r.enqueue_time, r.finish_time, r.failed)
-                for d in kernel.drives
-                for r in d.stats.completed
+                for requests in recorded
+                for r in requests
             ),
             tuple(sorted(
                 (p.pid, p.finished, p.cpu_time_us, p.fault_count)

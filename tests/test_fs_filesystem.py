@@ -7,6 +7,7 @@ from repro.disk import DiskDrive, DiskOp, SpuBandwidthLedger, hp97560, make_sche
 from repro.fs import BufferCache, FileSystem, UnlimitedPageProvider, Volume
 from repro.sim import Engine
 from repro.sim.units import KB, PAGE_SIZE
+from tests.disk_recorder import record_requests
 
 
 @pytest.fixture
@@ -105,12 +106,13 @@ class TestWrite:
 
     def test_writeback_daemon_flushes(self, fs_setup):
         engine, fs, drive, cache, spu = fs_setup
+        requests = record_requests(drive)
         fs.start_daemons()
         file = fs.create(0, "f", 32 * KB)
         fs.write(1, spu.spu_id, file, 0, 32 * KB, lambda: None)
         engine.run(until=2_000_000)
         assert cache.dirty_count() == 0
-        writes = [r for r in drive.stats.completed if r.op is DiskOp.WRITE]
+        writes = [r for r in requests if r.op is DiskOp.WRITE]
         assert writes
         assert all(r.spu_id == SHARED_SPU_ID for r in writes)
 
@@ -125,33 +127,36 @@ class TestWrite:
 
     def test_write_blocks_under_memory_pressure(self, fs_setup):
         engine, fs, drive, cache, spu = fs_setup
+        requests = record_requests(drive)
         # Cache holds 64 pages; write 128 blocks -> must flush mid-way.
         file = fs.create(0, "f", 512 * KB)
         done = []
         fs.write(1, spu.spu_id, file, 0, 512 * KB, lambda: done.append(True))
         engine.run()
         assert done
-        writes = [r for r in drive.stats.completed if r.op is DiskOp.WRITE]
+        writes = [r for r in requests if r.op is DiskOp.WRITE]
         assert writes  # pressure forced flushing before completion
 
     def test_write_then_read_hits_cache(self, fs_setup):
         engine, fs, drive, _cache, spu = fs_setup
+        requests = record_requests(drive)
         file = fs.create(0, "f", 16 * KB)
         fs.write(1, spu.spu_id, file, 0, 16 * KB, lambda: None)
         engine.run()
         read_all(engine, fs, file, spu.spu_id)
-        assert all(r.op is not DiskOp.READ for r in drive.stats.completed)
+        assert all(r.op is not DiskOp.READ for r in requests)
 
 
 class TestMetadata:
     def test_metadata_write_is_synchronous_one_sector(self, fs_setup):
         engine, fs, drive, _cache, spu = fs_setup
+        requests = record_requests(drive)
         file = fs.create(0, "f", 8 * KB)
         done = []
         fs.write_metadata(1, spu.spu_id, file, lambda: done.append(engine.now))
         engine.run()
         assert done
-        (request,) = drive.stats.completed
+        (request,) = requests
         assert request.nsectors == 1
         assert request.sector == file.metadata_sector
 

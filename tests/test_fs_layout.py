@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.fs import Extent, LayoutError, Volume
+from repro.fs import Extent, File, LayoutError, Volume
 from repro.sim.units import KB, PAGE_SIZE, SECTOR_SIZE
 
 
@@ -130,6 +130,48 @@ class TestSectorRuns:
         runs = file.sector_runs(start, count)
         assert sum(n for _s, n in runs) == count
         assert all(n > 0 for _s, n in runs)
+
+
+def outcome(fn, *args):
+    """A call's value, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except (ValueError, LayoutError) as exc:
+        return type(exc), str(exc)
+
+
+class TestBlockSectorAgainstSectorRuns:
+    """``block_sector`` bisects cumulative extent ends; the extent walk
+    in ``sector_runs`` is the reference it must agree with."""
+
+    @given(
+        extents=st.lists(
+            st.tuples(st.integers(0, 10**6), st.integers(1, 40)),
+            min_size=0, max_size=30,
+        ),
+        slack=st.integers(-PAGE_SIZE, PAGE_SIZE),
+        blocks=st.lists(st.integers(-2, 80), min_size=1, max_size=20),
+    )
+    def test_same_sector_or_same_error(self, extents, slack, blocks):
+        # ``slack`` sizes the file off its extents' total, so some files
+        # have extents covering too few sectors (LayoutError) and some
+        # blocks fall outside the file (ValueError).
+        covered = sum(n for _s, n in extents) * SECTOR_SIZE
+        size = max(1, covered + slack)
+        file = File("f", size, [Extent(s, n) for s, n in extents], 0)
+        per_block = PAGE_SIZE // SECTOR_SIZE
+        for block in blocks:
+            want = outcome(
+                lambda b: file.sector_runs(b * per_block, 1)[0][0], block
+            )
+            assert outcome(file.block_sector, block) == want
+
+    def test_every_block_of_a_fragmented_file(self, volume):
+        file = volume.allocate_fragmented("f", 700 * KB, extent_sectors=3)
+        per_block = PAGE_SIZE // SECTOR_SIZE
+        for block in range(file.nblocks):
+            assert file.block_sector(block) == \
+                file.sector_runs(block * per_block, 1)[0][0]
 
 
 class TestVolumeLookup:

@@ -1,9 +1,11 @@
 """The persistent worker pool: reuse, fn switching, leak regressions."""
 
+import gc
 import multiprocessing
 import os
 import signal
 import time
+import weakref
 
 import pytest
 
@@ -162,3 +164,50 @@ def test_worker_killed_while_idle_charges_no_cell(tmp_path):
         assert [o.value for o in outcomes] == ["quick", "slow"]
         assert [o.retries for o in outcomes] == [0, 0]
         assert pool.forks == 3
+
+
+# --- the worker collects each finished cell --------------------------------
+
+
+class _Node:
+    pass
+
+
+#: Worker side: a weak reference to the cycle the "park" cell left.
+_parked = []
+
+
+def _park_or_probe(role):
+    """``park`` leaves a reference cycle in the oldest generation;
+    ``probe`` reports whether it has been collected since."""
+    if role == "park":
+        node = _Node()
+        node.cycle = node
+        gc.collect()  # survivors move to the oldest generation
+        _parked.append(weakref.ref(node))
+        return None
+    return _parked[-1]() is None
+
+
+def _run_on(lease, worker, fn, payload):
+    lease.assign(worker, fn, 0, payload, None)
+    deadline = time.monotonic() + 30
+    while time.monotonic() < deadline:
+        for _worker, message in lease.poll():
+            assert message is not None, "worker died"
+            status, value, error, _elapsed = message
+            assert status == "ok", error
+            worker.inflight = None
+            return value
+    raise AssertionError("no result within 30 s")
+
+
+def test_worker_collects_a_finished_cell_before_the_next():
+    # A finished simulation is cyclic garbage.  Left to the collector's
+    # thresholds, a cycle in the oldest generation outlives many cells;
+    # the worker collects after every cell, so the next one finds it gone.
+    with WorkerPool(max_workers=1) as pool:
+        lease = pool.lease(1)
+        (worker,) = lease.workers
+        assert _run_on(lease, worker, _park_or_probe, "park") is None
+        assert _run_on(lease, worker, _park_or_probe, "probe") is True

@@ -16,6 +16,7 @@ from repro.disk.model import fast_disk
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, SetWorkingSet
 from repro.sim import Engine
 from repro.sim.units import msecs
+from tests.disk_recorder import record_requests
 
 
 @given(
@@ -55,6 +56,7 @@ def test_disk_serves_every_request_exactly_once(requests, policy):
         engine, hp97560(), make_scheduler(policy),
         SpuBandwidthLedger(0, registry),
     )
+    completed = record_requests(drive)
     for spu_id, sector, size in requests:
         drive.submit(DiskRequest(spu_id, DiskOp.READ, sector, size))
     engine.run()
@@ -62,7 +64,7 @@ def test_disk_serves_every_request_exactly_once(requests, policy):
     assert drive.queue_depth() == 0
     # Busy end-to-end: completions tile the timeline without gaps.
     spans = sorted(
-        (r.start_time, r.finish_time) for r in drive.stats.completed
+        (r.start_time, r.finish_time) for r in completed
     )
     for (s1, f1), (s2, _f2) in zip(spans, spans[1:]):
         assert s2 == f1  # next service starts the instant one ends

@@ -16,6 +16,7 @@ from repro.experiments.disk_bandwidth import (
 )
 from repro.kernel import DiskSpec, Kernel, MachineConfig
 from repro.workloads import copy_job, create_copy_files, create_pmake_files, pmake_job
+from tests.disk_recorder import record_requests
 
 
 def solo_kernel(seed=0):
@@ -54,9 +55,10 @@ class TestRequestCounts:
         """Paper: pmake requests "are not all contiguous"."""
         kernel, spu = solo_kernel()
         files = create_pmake_files(kernel.fs, 0, TABLE3_PMAKE, job_name="cal")
+        requests = record_requests(kernel.drives[0])
         kernel.spawn(pmake_job(files, TABLE3_PMAKE), spu)
         kernel.run()
-        reqs = sorted(kernel.drives[0].stats.completed,
+        reqs = sorted(requests,
                       key=lambda r: r.start_time)
         contiguous = sum(
             1 for a, b in zip(reqs, reqs[1:]) if b.sector == a.last_sector + 1
@@ -67,9 +69,10 @@ class TestRequestCounts:
         """Paper: the copy's requests are "mostly contiguous sectors"."""
         kernel, spu = solo_kernel()
         src, dst = create_copy_files(kernel.fs, 0, TABLE3_COPY, name="cal")
+        requests = record_requests(kernel.drives[0])
         kernel.spawn(copy_job(src, dst, TABLE3_COPY), spu)
         kernel.run()
-        reqs = sorted(kernel.drives[0].stats.completed,
+        reqs = sorted(requests,
                       key=lambda r: r.start_time)
         contiguous = sum(
             1 for a, b in zip(reqs, reqs[1:]) if b.sector == a.last_sector + 1
@@ -80,10 +83,11 @@ class TestRequestCounts:
         """Paper: "many repeated writes of meta-data to a single sector"."""
         kernel, spu = solo_kernel()
         files = create_pmake_files(kernel.fs, 0, TABLE3_PMAKE, job_name="cal")
+        requests = record_requests(kernel.drives[0])
         kernel.spawn(pmake_job(files, TABLE3_PMAKE), spu)
         kernel.run()
         meta_writes = [
-            r for r in kernel.drives[0].stats.completed
+            r for r in requests
             if r.nsectors == 1 and r.sector == files.makefile.metadata_sector
         ]
         assert len(meta_writes) >= TABLE3_PMAKE.n_tasks
