@@ -5,7 +5,7 @@ Subcommands:
 * ``experiments`` — regenerate the paper's tables and figures
   (``python -m repro experiments fig5 table4 --seed 1 --workers 4``);
 * ``chaos`` — the seeded chaos soak (``python -m repro chaos --seed 0
-  --workers 4``); ``python -m repro.chaos`` remains a shim;
+  --workers 4``);
 * ``fuzz`` — generative scenario fuzzing with a resumable corpus and
   ddmin-shrunken repro files (``python -m repro fuzz --seed 0
   --count 50 --workers 4``; ``--repro FILE`` replays a repro);
@@ -42,7 +42,7 @@ def main(argv: List[str]) -> int:
 
         return experiments_main(rest)
     if command == "chaos":
-        from repro.chaos.__main__ import main as chaos_main
+        from repro.chaos.soak import main as chaos_main
 
         return chaos_main(rest)
     if command == "fuzz":

@@ -1,45 +1,19 @@
-"""Replayable chaos-soak harness: antagonists x faults x invariants.
+"""Replayable chaos soak: antagonists x faults x invariants.
 
 This package closes the robustness loop.  :mod:`repro.antagonists`
 supplies hostile software, :mod:`repro.faults` supplies dying hardware;
-chaos composes seeded random mixes of both into a
-:class:`~repro.chaos.plan.ChaosPlan`, soaks a victim SPU under the mix
-(:func:`~repro.chaos.soak.run_chaos`), and asserts the PR-1
-conservation laws plus a victim-progress lower bound.  A violation
-yields a replayable repro file, which
-:func:`~repro.chaos.shrink.shrink_plan` delta-minimises to the smallest
-event set that still breaks the invariant.
+chaos composes seeded random mixes of both into a plan
+(:func:`generate_plan`) on one fixed machine and soaks a victim SPU
+under it (:func:`run_soak`).  A plan is a fuzz scenario with
+``harness="chaos"``, so :func:`repro.fuzz.run_scenario` runs it,
+:func:`repro.fuzz.shrink_scenario` shrinks it, and ``python -m repro
+fuzz --repro FILE`` replays the repro file a failing soak writes.
 
-``python -m repro.chaos`` is the CI entry point: a bounded multi-seed
+``python -m repro chaos`` is the CI entry point: a bounded multi-seed
 soak that exits non-zero (and writes the repro file) on any violation.
 """
 
-from repro.chaos.plan import (
-    AntagonistBurst,
-    ChaosPlan,
-    ChaosPlanError,
-    generate_plan,
-)
-from repro.chaos.shrink import (
-    ShrinkResult,
-    load_repro,
-    replay,
-    shrink_plan,
-    write_repro,
-)
-from repro.chaos.soak import ChaosResult, run_chaos, run_soak
+from repro.chaos.plan import generate_plan
+from repro.chaos.soak import run_soak
 
-__all__ = [
-    "AntagonistBurst",
-    "ChaosPlan",
-    "ChaosPlanError",
-    "ChaosResult",
-    "ShrinkResult",
-    "generate_plan",
-    "load_repro",
-    "replay",
-    "run_chaos",
-    "run_soak",
-    "shrink_plan",
-    "write_repro",
-]
+__all__ = ["generate_plan", "run_soak"]

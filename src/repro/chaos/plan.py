@@ -1,10 +1,11 @@
 """Chaos plans: seeded antagonist mixes composed with fault schedules.
 
-A :class:`ChaosPlan` is the replayable unit of the chaos harness: a
-seed, a horizon, a list of :class:`AntagonistBurst` launches, and a
-:class:`~repro.faults.FaultPlan`.  Everything downstream — which
-antagonists fire when, which hardware dies when, every RNG stream in
-the run — derives from the plan, so a plan that breaks an invariant
+A chaos plan is a :class:`~repro.fuzz.scenario.ScenarioSpec` with
+``harness="chaos"``: a seed, a horizon, a list of antagonist bursts and
+a :class:`~repro.faults.FaultPlan` on the fixed chaos machine (4 CPUs,
+16 MB, 2 fast disks, PIso, no workloads).  Everything downstream —
+which antagonists fire when, which hardware dies when, every RNG stream
+in the run — derives from the plan, so a plan that breaks an invariant
 *is* the bug report.
 
 :func:`generate_plan` draws a random-but-legal plan from a seed.  The
@@ -12,17 +13,14 @@ generator walks simulated time with a small state machine so the raw
 fault mix stays meaningful: the machine always keeps at least
 ``MIN_CPUS_ONLINE`` processors, disk 0 (the failover target) never
 dies, and a ``CpuAdd`` is only emitted while a processor is actually
-offline.  Delta-shrinking can still break those pairings — the soak
-runner arms plans with ``on_error="skip"`` so such plans stay runnable.
+offline.  Delta-shrinking can still break those pairings — the runner
+arms plans with ``on_error="skip"`` so such plans stay runnable.
 """
 
 from __future__ import annotations
 
-import json
-import math
 import random
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import List
 
 from repro.antagonists import ANTAGONIST_KINDS
 from repro.faults.plan import (
@@ -32,143 +30,27 @@ from repro.faults.plan import (
     DiskFailure,
     FaultEvent,
     FaultPlan,
-    FaultPlanError,
     MemoryLoss,
 )
+from repro.fuzz.scenario import AntagonistBurst, ScenarioSpec
 from repro.sim.units import MSEC, SEC
 
-#: The chaos machine shape (plan generation must agree with the soak
-#: runner about it, so it lives here).
+#: The chaos machine shape.
 CHAOS_NCPUS = 4
 CHAOS_MEMORY_MB = 16
 CHAOS_NDISKS = 2
+CHAOS_SCHEME = "piso"
 #: Hot-removal never takes the machine below this many processors.
 MIN_CPUS_ONLINE = 2
-
-
-class ChaosPlanError(ValueError):
-    """Raised for ill-formed chaos plans."""
-
-
-@dataclass(frozen=True)
-class AntagonistBurst:
-    """Launch one antagonist at an absolute simulated time."""
-
-    at_us: int
-    kind: str
-    scale: float = 1.0
-
-    def _validate(self) -> None:
-        # NaN fails every comparison, so explicit finiteness checks
-        # must come before the range checks or a NaN time/scale from a
-        # hand-edited repro file would slip through.
-        for name, value in (("at_us", self.at_us), ("scale", self.scale)):
-            if isinstance(value, bool) or not isinstance(value, (int, float)) \
-                    or not math.isfinite(value):
-                raise ChaosPlanError(
-                    f"burst {name} must be a finite number,"
-                    f" got {value!r}: {self!r}"
-                )
-        if self.at_us < 0:
-            raise ChaosPlanError(f"burst scheduled before boot: {self!r}")
-        if self.kind not in ANTAGONIST_KINDS:
-            raise ChaosPlanError(
-                f"unknown antagonist {self.kind!r};"
-                f" expected one of {ANTAGONIST_KINDS}"
-            )
-        if self.scale <= 0:
-            raise ChaosPlanError(f"burst scale must be positive: {self!r}")
-
-
-@dataclass
-class ChaosPlan:
-    """A validated, replayable chaos schedule."""
-
-    seed: int
-    horizon_us: int
-    bursts: List[AntagonistBurst] = field(default_factory=list)
-    faults: FaultPlan = field(default_factory=FaultPlan)
-
-    def __post_init__(self) -> None:
-        if isinstance(self.horizon_us, bool) \
-                or not isinstance(self.horizon_us, (int, float)) \
-                or not math.isfinite(self.horizon_us):
-            raise ChaosPlanError(
-                f"horizon must be a finite number, got {self.horizon_us!r}"
-            )
-        if self.horizon_us <= 0:
-            raise ChaosPlanError(f"horizon must be positive, got {self.horizon_us}")
-        for burst in self.bursts:
-            burst._validate()
-        self.bursts = sorted(self.bursts, key=lambda b: (b.at_us, b.kind))
-
-    def __len__(self) -> int:
-        return len(self.bursts) + len(self.faults)
-
-    def replace_events(
-        self, bursts: List[AntagonistBurst], faults: List[FaultEvent]
-    ) -> "ChaosPlan":
-        """The same plan (seed, horizon) with a different event set."""
-        return ChaosPlan(
-            seed=self.seed,
-            horizon_us=self.horizon_us,
-            bursts=list(bursts),
-            faults=FaultPlan(list(faults)),
-        )
-
-    # --- JSON round-trip ---------------------------------------------------
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "seed": self.seed,
-            "horizon_us": self.horizon_us,
-            "bursts": [
-                {"at_us": b.at_us, "kind": b.kind, "scale": b.scale}
-                for b in self.bursts
-            ],
-            "faults": self.faults.to_dicts(),
-        }
-
-    def to_json(self, indent: Optional[int] = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, Any]) -> "ChaosPlan":
-        if not isinstance(record, dict):
-            raise ChaosPlanError(f"chaos plan must be an object: {record!r}")
-        missing = {"seed", "horizon_us", "bursts", "faults"} - set(record)
-        if missing:
-            raise ChaosPlanError(f"chaos plan missing fields: {sorted(missing)}")
-        try:
-            bursts = [AntagonistBurst(**b) for b in record["bursts"]]
-        except TypeError as exc:
-            raise ChaosPlanError(f"bad burst fields: {exc}") from None
-        try:
-            faults = FaultPlan.from_dicts(record["faults"])
-        except FaultPlanError as exc:
-            raise ChaosPlanError(f"bad fault plan: {exc}") from None
-        return cls(
-            seed=record["seed"],
-            horizon_us=record["horizon_us"],
-            bursts=bursts,
-            faults=faults,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "ChaosPlan":
-        try:
-            record = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ChaosPlanError(f"chaos plan is not valid JSON: {exc}") from None
-        return cls.from_dict(record)
+DEFAULT_HORIZON_US = 8 * SEC
 
 
 def generate_plan(
     seed: int,
-    horizon_us: int = 8 * SEC,
+    horizon_us: int = DEFAULT_HORIZON_US,
     max_bursts: int = 3,
     max_faults: int = 4,
-) -> ChaosPlan:
+) -> ScenarioSpec:
     """Draw a random, legal chaos plan from ``seed``.
 
     Bursts land in the first half of the horizon (so their damage has
@@ -227,9 +109,14 @@ def generate_plan(
             events.append(DiskFailure(at_us=at_us, disk=1))
             disk1_alive = False
 
-    return ChaosPlan(
+    return ScenarioSpec(
         seed=seed,
+        ncpus=CHAOS_NCPUS,
+        memory_mb=CHAOS_MEMORY_MB,
+        ndisks=CHAOS_NDISKS,
+        scheme=CHAOS_SCHEME,
         horizon_us=horizon_us,
         bursts=bursts,
         faults=FaultPlan(events),
+        harness="chaos",
     )

@@ -1,16 +1,17 @@
 """repro.fuzz — generative scenario fuzzing for the simulator.
 
-The chaos harness (PR 2) replays *hand-shaped* adversity: a fixed
-machine, a fixed victim, randomized bursts and faults.  The fuzzer
-generalises every axis the paper's claims quantify over — machine
-shape, allocation scheme, workload mix, antagonist schedule, fault
-schedule — into one seeded, legal-by-construction draw
+The fuzzer draws every axis the paper's claims quantify over —
+machine shape, allocation scheme, workload mix, antagonist schedule,
+fault schedule — from one seeded, legal-by-construction draw
 (:func:`generate_scenario`), runs it under the full oracle stack
 (:func:`run_scenario`), campaigns over seed ranges with a resumable
 JSONL corpus (:func:`run_campaign`), and shrinks every failure to a
-minimal replayable repro (:func:`shrink_scenario`), with the ddmin
-core (:func:`ddmin`) now generic enough that the chaos shrinker is a
-client of it too.
+minimal replayable repro (:func:`shrink_scenario`) with the generic
+ddmin core (:func:`ddmin`).
+
+The chaos soak (:mod:`repro.chaos`) is a preset of the same harness:
+its plans are scenarios with ``harness="chaos"`` on one fixed machine,
+so this runner, shrinker and repro-file format serve both.
 
 The fleet dimension (:func:`generate_fleet_scenario`,
 :func:`run_fleet_fuzz_record`; ``--fleet`` on the CLI) draws whole
@@ -38,6 +39,7 @@ from repro.fuzz.runner import ScenarioResult, run_record, run_scenario
 from repro.fuzz.scenario import (
     SCHEMES,
     WORKLOAD_KINDS,
+    AntagonistBurst,
     ScenarioError,
     ScenarioSpec,
     WorkloadSpec,
@@ -51,6 +53,7 @@ from repro.fuzz.shrink import (
 )
 
 __all__ = [
+    "AntagonistBurst",
     "CampaignConfig",
     "CampaignError",
     "CampaignReport",

@@ -141,6 +141,11 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
 
     seeds = args.seeds if args.seeds is not None \
         else list(range(args.seed, args.seed + args.count))
+    if any(seed < 0 for seed in seeds):
+        flag = "--seeds" if args.seeds is not None else "--seed"
+        parser.error(f"{flag} must be >= 0, got {min(seeds)}")
+    if args.horizon_ms < 0:
+        parser.error(f"--horizon-ms must be >= 0, got {args.horizon_ms}")
     config = CampaignConfig(
         seeds=seeds,
         corpus_path=args.corpus,

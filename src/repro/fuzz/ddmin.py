@@ -1,11 +1,11 @@
 """Universal delta debugging: ddmin over any list of removable items.
 
-PR 2's :func:`repro.chaos.shrink.shrink_plan` carried its own copy of
-the ddmin loop, hard-wired to chaos events.  The fuzzer needs the same
-minimisation over a richer item set (workloads, antagonist bursts,
-fault events), so the algorithm now lives here, generic over *any*
-sequence of items plus a ``fails`` predicate: :func:`ddmin` returns the
-smallest item subset it found for which ``fails`` still returns True.
+The scenario shrinker (:func:`repro.fuzz.shrink.shrink_scenario`)
+minimises event lists of workloads, antagonist bursts and fault events,
+for generated scenarios and chaos plans alike.  The algorithm lives
+here, generic over *any* sequence of items plus a ``fails`` predicate:
+:func:`ddmin` returns the smallest item subset it found for which
+``fails`` still returns True.
 
 The predicate is typically one full simulation per call, so the search
 is bounded by ``max_runs`` rather than run to convergence; ddmin's

@@ -2,8 +2,8 @@
 
 :func:`generate_scenario` draws one :class:`~repro.fuzz.scenario.ScenarioSpec`
 from a seed: machine shape, scheme, a workload mix from the calibrated
-library, antagonist bursts, and a fault schedule.  Like
-:func:`repro.chaos.plan.generate_plan` it walks simulated time with a
+library, antagonist bursts, and a fault schedule.  Like the chaos
+soak's plan generator it walks simulated time with a
 small state machine so the draw is legal at generation time — the
 machine keeps at least half its processors, disk 0 (the failover
 target) never dies, memory losses stay bounded per event, and every
@@ -19,7 +19,6 @@ from __future__ import annotations
 import random
 from typing import Optional
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults.plan import (
     CpuAdd,
     CpuRemove,
@@ -29,7 +28,13 @@ from repro.faults.plan import (
     FaultPlan,
     MemoryLoss,
 )
-from repro.fuzz.scenario import SCHEMES, WORKLOAD_KINDS, ScenarioSpec, WorkloadSpec
+from repro.fuzz.scenario import (
+    SCHEMES,
+    WORKLOAD_KINDS,
+    AntagonistBurst,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.sim.units import MSEC, SEC
 
 #: Machine shapes the generator draws from (all inside the legal

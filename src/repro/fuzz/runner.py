@@ -1,11 +1,12 @@
-"""Run one generated scenario under the full oracle stack.
+"""Run one scenario under the full oracle stack.
 
 :func:`run_scenario` lowers a :class:`~repro.fuzz.scenario.ScenarioSpec`
-onto the ordinary :func:`repro.api.build` seam, plants the same
-latency-sensitive victim the chaos soak uses, starts the scenario's
-workload mix from the calibrated library, fires its antagonist bursts,
-arms its fault schedule (``on_error="skip"`` so shrunken scenarios stay
-runnable), and judges the run with four oracle families:
+onto the ordinary :func:`repro.api.build` seam, plants a
+latency-sensitive victim SPU next to an attacker SPU, starts the
+scenario's workload mix from the calibrated library, fires its
+antagonist bursts, arms its fault schedule (``on_error="skip"`` so
+shrunken scenarios stay runnable), and judges the run with four oracle
+families:
 
 * **conservation laws** — the :class:`~repro.faults.InvariantWatchdog`
   re-derives pages/CPU/levels/starvation/dead-drive invariants every
@@ -14,14 +15,20 @@ runnable), and judges the run with four oracle families:
   sanitizer re-checks the books at event granularity; its raise is
   caught and recorded as a ``simsan`` violation so campaigns keep
   going;
-* **per-scheme contract bounds** — the victim-progress window scales
-  with the scheme's promise: PIso must keep the victim moving in every
-  quarter-horizon window, Quo and Stride in every half-horizon window,
-  and SMP (which promises nothing under attack) is held only to the
-  conservation laws;
+* **victim progress** — the victim's jobs checkpoint after every short
+  compute burst, and no window may pass without a checkpoint.  This is
+  the paper's isolation claim as a lower bound.  A fuzz scenario's
+  window scales with its scheme's promise: PIso must keep the victim
+  moving in every quarter-horizon window, Quo and Stride in every
+  half-horizon window, and SMP (which promises nothing under attack)
+  is held only to the conservation laws.  A chaos plan keeps the
+  fixed :data:`CHAOS_PROGRESS_WINDOW_US`;
 * **differential** — :func:`run_record` is a pure function of
   ``(scenario, simsan)``; the campaign re-runs cells in-process and
   compares records byte-for-byte against worker results.
+
+The scenario's ``harness`` decides three things and nothing else: the
+burst RNG streams, the journal header and the progress window.
 
 The deterministic journal (and its digest) is what makes corpus
 entries, repro files, and ddmin trustworthy: same scenario, same bytes.
@@ -37,17 +44,11 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.antagonists import launch
 from repro.api import build
-from repro.chaos.soak import (
-    VICTIM_BURST_US,
-    VICTIM_JOBS,
-    VICTIM_LOCK_HOLD_US,
-    progress_violations,
-    victim_job,
-)
 from repro.faults import FaultInjector, InvariantWatchdog, OverloadGuard, Violation
 from repro.fuzz.scenario import ScenarioSpec, WorkloadSpec
 from repro.kernel.kernel import Kernel
 from repro.kernel.locks import KernelLock
+from repro.kernel.syscalls import Acquire, Behavior, Checkpoint, Compute, Release, SetWorkingSet
 from repro.sanitizer import SanitizerError, SimSanitizer, check_stride
 from repro.sim.units import KB, MSEC
 from repro.workloads import (
@@ -65,6 +66,12 @@ from repro.workloads import (
     simulator_process,
 )
 
+#: Victim shape: a few small jobs checkpointing every short burst.
+VICTIM_JOBS = 2
+VICTIM_BURST_US = 5 * MSEC
+VICTIM_WS_PAGES = 64
+VICTIM_LOCK_HOLD_US = 50
+
 #: Victim-progress bound per scheme, as a divisor of the horizon: the
 #: contract oracle flags any window of ``horizon // divisor`` without a
 #: victim checkpoint.  ``None`` means no progress promise (SMP shares
@@ -75,6 +82,8 @@ SCHEME_PROGRESS_DIVISOR = {
     "stride": 2,
     "smp": None,
 }
+#: A chaos plan's window, whatever its horizon.
+CHAOS_PROGRESS_WINDOW_US = 250 * MSEC
 
 #: Environment flag that plants a deliberate conservation bug, used to
 #: prove the fuzzer finds and shrinks real invariant breaks end to end:
@@ -95,6 +104,9 @@ class ScenarioResult:
     checkpoints: int = 0
     #: Events executed by the engine (0 if SIMSAN aborted the run).
     events: int = 0
+    escalations: int = 0
+    faults_applied: int = 0
+    faults_skipped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -107,6 +119,81 @@ class ScenarioResult:
     def digest(self) -> str:
         """Stable hash of the journal — the byte-identity handle."""
         return hashlib.sha256("\n".join(self.journal).encode()).hexdigest()[:16]
+
+
+def victim_job(lock: KernelLock, rounds: int, tag: str) -> Behavior:
+    """Short compute bursts, each followed by a checkpoint.
+
+    The brief shared-lock section keeps the victim on the kernel-lock
+    path (so a lock hogger is an actual antagonist for it) without
+    making progress depend on anything an attacker can hold for long.
+    """
+    yield SetWorkingSet(pages=VICTIM_WS_PAGES)
+    for i in range(rounds):
+        yield Acquire(lock, shared=True)
+        yield Compute(VICTIM_LOCK_HOLD_US)
+        yield Release(lock)
+        yield Compute(VICTIM_BURST_US)
+        yield Checkpoint(f"{tag}.{i}")
+    yield SetWorkingSet(pages=0)
+
+
+def progress_violations(
+    victim_procs: List, horizon_us: int, window_us: int
+) -> List[Violation]:
+    """Flag every empty checkpoint window while the victim should move.
+
+    ``window_us`` is the oracle's bound: no window of that many
+    microseconds may pass without a single victim checkpoint.
+    """
+    times = sorted(
+        t for p in victim_procs for (_label, t) in p.checkpoints
+    )
+    # Stop checking once every victim job has exited (a finished victim
+    # legitimately stops checkpointing).
+    end = horizon_us
+    if all(not p.alive for p in victim_procs):
+        end = min(horizon_us, max(p.finished for p in victim_procs))
+    violations = []
+    cursor = 0
+    for start in range(0, end - window_us + 1, window_us):
+        stop = start + window_us
+        while cursor < len(times) and times[cursor] < start:
+            cursor += 1
+        if cursor < len(times) and times[cursor] < stop:
+            continue
+        violations.append(
+            Violation(
+                stop,
+                "victim-progress",
+                f"no victim checkpoint in [{start}us, {stop}us)",
+            )
+        )
+    return violations
+
+
+def _progress_window(scenario: ScenarioSpec) -> Optional[int]:
+    """The victim-progress window, or None for no progress promise."""
+    if scenario.harness == "chaos":
+        return CHAOS_PROGRESS_WINDOW_US
+    divisor = SCHEME_PROGRESS_DIVISOR[scenario.scheme]
+    return None if divisor is None else max(1, scenario.horizon_us // divisor)
+
+
+def _journal_header(scenario: ScenarioSpec) -> str:
+    if scenario.harness == "chaos":
+        return (
+            f"plan | seed={scenario.seed} horizon={scenario.horizon_us}us"
+            f" bursts={len(scenario.bursts)} faults={len(scenario.faults)}"
+        )
+    return (
+        f"scenario | seed={scenario.seed} fp={scenario.fingerprint()}"
+        f" machine={scenario.ncpus}cpu/{scenario.memory_mb}MB/"
+        f"{scenario.ndisks}disk scheme={scenario.scheme}"
+        f" horizon={scenario.horizon_us}us"
+        f" workloads={len(scenario.workloads)} bursts={len(scenario.bursts)}"
+        f" faults={len(scenario.faults)}"
+    )
 
 
 def _leak_pages(kernel: Kernel) -> None:
@@ -210,7 +297,7 @@ def run_scenario(
     for i, burst in enumerate(scenario.bursts):
         def fire(burst=burst, i=i) -> None:
             rng = random.Random(
-                f"{scenario.seed}/fuzz/burst/{i}/{burst.kind}"
+                f"{scenario.seed}/{scenario.harness}/burst/{i}/{burst.kind}"
             )
             procs = launch(
                 kernel, attacker, burst.kind, rng, mount=0,
@@ -236,11 +323,10 @@ def run_scenario(
     violations = list(watchdog.violations)
     if sanitizer_violation is not None:
         violations.append(sanitizer_violation)
-    divisor = SCHEME_PROGRESS_DIVISOR[scenario.scheme]
-    if divisor is not None and sanitizer_violation is None:
-        window = max(1, scenario.horizon_us // divisor)
+    window = _progress_window(scenario)
+    if window is not None and sanitizer_violation is None:
         violations += progress_violations(
-            victim_procs, scenario.horizon_us, window_us=window
+            victim_procs, scenario.horizon_us, window
         )
     violations.sort(key=lambda v: (v.time_us, v.name))
 
@@ -257,14 +343,7 @@ def run_scenario(
     entries.sort(key=lambda e: (e[0], e[1]))
 
     checkpoints = sum(len(p.checkpoints) for p in victim_procs)
-    journal = [
-        f"scenario | seed={scenario.seed} fp={scenario.fingerprint()}"
-        f" machine={scenario.ncpus}cpu/{scenario.memory_mb}MB/"
-        f"{scenario.ndisks}disk scheme={scenario.scheme}"
-        f" horizon={scenario.horizon_us}us"
-        f" workloads={len(scenario.workloads)} bursts={len(scenario.bursts)}"
-        f" faults={len(scenario.faults)}"
-    ]
+    journal = [_journal_header(scenario)]
     journal += [f"t={t:>10} | {text}" for t, text in entries]
     journal.append(
         f"end | checkpoints={checkpoints}"
@@ -278,6 +357,9 @@ def run_scenario(
         journal=journal,
         checkpoints=checkpoints,
         events=events,
+        escalations=len(guard.escalations),
+        faults_applied=len(injector.applied),
+        faults_skipped=len(injector.skipped),
     )
 
 

@@ -9,6 +9,11 @@ a function of the spec alone, which is what lets campaign cells fan out
 across worker processes, corpus entries replay byte-identically, and
 ddmin re-run arbitrary sub-scenarios.
 
+Its ``harness`` says who drew it: ``fuzz`` for the fuzzer's
+generator, ``chaos`` for the chaos soak's plans on the fixed chaos
+machine.  One runner, one shrinker and one repro-file format serve
+both.
+
 Validation is load-time, not run-time: a scenario that names an unknown
 workload, points a fault at a disk the machine does not have, or puts a
 workload on a mount past ``ndisks`` is rejected with a message naming
@@ -17,13 +22,14 @@ the field — never a mid-run ``KeyError``.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional
 
-from repro.chaos.plan import AntagonistBurst, ChaosPlanError
+from repro.antagonists import ANTAGONIST_KINDS
 from repro.faults.plan import DiskFailure, FaultEvent, FaultPlan, FaultPlanError
 
 #: Scenario format tag for repro files and the corpus.
@@ -49,6 +55,10 @@ SCHEMES = ("smp", "quo", "piso", "stride")
 #: SPU names the runner reserves for the victim and burst attacker.
 RESERVED_SPUS = ("victim", "attacker")
 
+#: Who drew the scenario.  The runner keys three things on it: the
+#: burst RNG streams, the journal header and the victim-progress window.
+HARNESSES = ("fuzz", "chaos")
+
 
 class ScenarioError(ValueError):
     """Raised for ill-formed scenarios, with the offending field named."""
@@ -65,6 +75,36 @@ def _check_int(name: str, value: Any, lo: Optional[int] = None) -> int:
     if lo is not None and value < lo:
         raise ScenarioError(f"{name} must be >= {lo}, got {value}")
     return value
+
+
+@dataclass(frozen=True)
+class AntagonistBurst:
+    """Launch one antagonist at an absolute simulated time."""
+
+    at_us: int
+    kind: str
+    scale: float = 1.0
+
+    def _validate(self) -> None:
+        # NaN fails every comparison, so explicit finiteness checks
+        # must come before the range checks or a NaN time/scale from a
+        # hand-edited repro file would slip through.
+        for name, value in (("at_us", self.at_us), ("scale", self.scale)):
+            if isinstance(value, bool) or not isinstance(value, (int, float)) \
+                    or not math.isfinite(value):
+                raise ScenarioError(
+                    f"burst {name} must be a finite number,"
+                    f" got {value!r}: {self!r}"
+                )
+        if self.at_us < 0:
+            raise ScenarioError(f"burst scheduled before boot: {self!r}")
+        if self.kind not in ANTAGONIST_KINDS:
+            raise ScenarioError(
+                f"unknown antagonist {self.kind!r};"
+                f" expected one of {ANTAGONIST_KINDS}"
+            )
+        if self.scale <= 0:
+            raise ScenarioError(f"burst scale must be positive: {self!r}")
 
 
 @dataclass(frozen=True)
@@ -119,8 +159,13 @@ class ScenarioSpec:
     workloads: List[WorkloadSpec] = field(default_factory=list)
     bursts: List[AntagonistBurst] = field(default_factory=list)
     faults: FaultPlan = field(default_factory=FaultPlan)
+    harness: str = "fuzz"
 
     def __post_init__(self) -> None:
+        if self.harness not in HARNESSES:
+            raise ScenarioError(
+                f"unknown harness {self.harness!r}; expected one of {HARNESSES}"
+            )
         _check_int("seed", self.seed, lo=0)
         for name, value, (lo, hi) in (
             ("ncpus", self.ncpus, NCPUS_RANGE),
@@ -182,13 +227,8 @@ class ScenarioSpec:
         faults: List[FaultEvent],
     ) -> "ScenarioSpec":
         """The same machine with a different (sub)set of events."""
-        return ScenarioSpec(
-            seed=self.seed,
-            ncpus=self.ncpus,
-            memory_mb=self.memory_mb,
-            ndisks=self.ndisks,
-            scheme=self.scheme,
-            horizon_us=self.horizon_us,
+        return dataclasses.replace(
+            self,
             workloads=list(workloads),
             bursts=list(bursts),
             faults=FaultPlan(list(faults)),
@@ -202,15 +242,12 @@ class ScenarioSpec:
         horizon_us: Optional[int] = None,
     ) -> "ScenarioSpec":
         """The same events on a resized machine (shrinking's second axis)."""
-        return ScenarioSpec(
-            seed=self.seed,
+        return dataclasses.replace(
+            self,
             ncpus=self.ncpus if ncpus is None else ncpus,
             memory_mb=self.memory_mb if memory_mb is None else memory_mb,
             ndisks=self.ndisks if ndisks is None else ndisks,
-            scheme=self.scheme,
             horizon_us=self.horizon_us if horizon_us is None else horizon_us,
-            workloads=list(self.workloads),
-            bursts=list(self.bursts),
             faults=FaultPlan(list(self.faults.events)),
         )
 
@@ -224,7 +261,7 @@ class ScenarioSpec:
     # --- JSON round-trip ---------------------------------------------------
 
     def to_dict(self) -> Dict[str, Any]:
-        return {
+        record = {
             "format": SCENARIO_FORMAT,
             "seed": self.seed,
             "ncpus": self.ncpus,
@@ -248,6 +285,11 @@ class ScenarioSpec:
             ],
             "faults": self.faults.to_dicts(),
         }
+        # A fuzz scenario's record predates the field; leaving it out
+        # keeps every fuzz fingerprint, corpus line and digest as it was.
+        if self.harness != "fuzz":
+            record["harness"] = self.harness
+        return record
 
     def to_json(self, indent: Optional[int] = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=True)
@@ -280,20 +322,18 @@ class ScenarioSpec:
             faults = FaultPlan.from_dicts(record["faults"])
         except FaultPlanError as exc:
             raise ScenarioError(f"bad fault plan: {exc}") from None
-        try:
-            return cls(
-                seed=record["seed"],
-                ncpus=record["ncpus"],
-                memory_mb=record["memory_mb"],
-                ndisks=record["ndisks"],
-                scheme=record["scheme"],
-                horizon_us=record["horizon_us"],
-                workloads=workloads,
-                bursts=bursts,
-                faults=faults,
-            )
-        except (ChaosPlanError, FaultPlanError) as exc:
-            raise ScenarioError(str(exc)) from None
+        return cls(
+            seed=record["seed"],
+            ncpus=record["ncpus"],
+            memory_mb=record["memory_mb"],
+            ndisks=record["ndisks"],
+            scheme=record["scheme"],
+            horizon_us=record["horizon_us"],
+            workloads=workloads,
+            bursts=bursts,
+            faults=faults,
+            harness=record.get("harness", "fuzz"),
+        )
 
     @classmethod
     def from_json(cls, text: str) -> "ScenarioSpec":

@@ -1,10 +1,9 @@
 """Universal shrinking: ddmin whole scenarios, then the machine itself.
 
-PR 2 could only ddmin a ChaosPlan's event list.  A failing *generated*
-scenario has more removable structure: workloads, antagonist bursts,
-fault events — and beyond the event list, the machine's own dimensions
-(CPUs, memory, disks, horizon).  :func:`shrink_scenario` minimises both
-axes:
+A failing scenario — a generated one or a chaos plan — has removable
+structure on two axes: its events (workloads, antagonist bursts, fault
+events) and the machine's own dimensions (CPUs, memory, disks,
+horizon).  :func:`shrink_scenario` minimises both:
 
 1. ddmin (:mod:`repro.fuzz.ddmin`) over the combined event list, with
    the violation *name* anchoring the search so the shrink cannot
@@ -25,11 +24,15 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults import Violation
 from repro.fuzz.ddmin import ddmin
 from repro.fuzz.runner import ScenarioResult, run_scenario
-from repro.fuzz.scenario import ScenarioError, ScenarioSpec, WorkloadSpec
+from repro.fuzz.scenario import (
+    AntagonistBurst,
+    ScenarioError,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.sim.units import MSEC
 
 #: Repro-file format tag (the scenario inside carries its own).

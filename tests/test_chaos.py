@@ -1,85 +1,77 @@
-"""The chaos harness: plans, soaks, repro files, and shrinking."""
+"""The chaos soak: plan generation, soak runs, repro files and the CLI.
+
+A chaos plan is a fuzz scenario with ``harness="chaos"``, so the runner,
+shrinker and repro files under test here are the fuzzer's; the
+``test_fuzz_*`` files also take a chaos plan among their inputs.
+"""
 
 import pytest
 
-from repro.chaos import (
-    AntagonistBurst,
-    ChaosPlan,
-    ChaosPlanError,
-    generate_plan,
-    load_repro,
-    replay,
-    run_chaos,
-    run_soak,
-    shrink_plan,
-    write_repro,
-)
+from repro.chaos import generate_plan, run_soak
 from repro.chaos.plan import CHAOS_NCPUS, MIN_CPUS_ONLINE
-from repro.chaos.shrink import repro_record
-from repro.faults.plan import CpuAdd, CpuRemove, DiskFailure, FaultPlan
-from repro.sim.units import MSEC, SEC
+from repro.chaos.soak import main
+from repro.faults.plan import CpuAdd, CpuRemove, DiskFailure
+from repro.fuzz.runner import ENV_PLANT, run_scenario
+from repro.fuzz.scenario import AntagonistBurst, ScenarioError, ScenarioSpec
+from repro.fuzz.shrink import load_repro, replay, shrink_scenario, write_repro
+from repro.sim.units import MSEC
 
 
-def sabotage_page_leak(kernel):
-    """A deliberate kernel bug: pages appear out of thin air, breaking
-    page conservation on every watchdog check."""
-    kernel.memory.total_pages += 50
+def with_burst(burst):
+    """A chaos plan whose only event is ``burst``."""
+    return generate_plan(seed=0).replace_events([], [burst], [])
 
 
 class TestChaosPlan:
     def test_validates_bursts(self):
-        with pytest.raises(ChaosPlanError, match="unknown antagonist"):
-            ChaosPlan(seed=0, horizon_us=SEC,
-                      bursts=[AntagonistBurst(0, "nuke")])
-        with pytest.raises(ChaosPlanError, match="scale"):
-            ChaosPlan(seed=0, horizon_us=SEC,
-                      bursts=[AntagonistBurst(0, "fork_bomb", scale=-1)])
-        with pytest.raises(ChaosPlanError, match="before boot"):
-            ChaosPlan(seed=0, horizon_us=SEC,
-                      bursts=[AntagonistBurst(-5, "fork_bomb")])
-        with pytest.raises(ChaosPlanError, match="horizon"):
-            ChaosPlan(seed=0, horizon_us=0)
+        with pytest.raises(ScenarioError, match="unknown antagonist"):
+            with_burst(AntagonistBurst(0, "nuke"))
+        with pytest.raises(ScenarioError, match="scale"):
+            with_burst(AntagonistBurst(0, "fork_bomb", scale=-1))
+        with pytest.raises(ScenarioError, match="before boot"):
+            with_burst(AntagonistBurst(-5, "fork_bomb"))
+        with pytest.raises(ScenarioError, match="horizon"):
+            generate_plan(seed=0).replace_machine(horizon_us=0)
 
     def test_rejects_non_finite_numbers(self):
         # NaN slips past ordinary range checks (every comparison is
         # False), so bursts and the horizon check finiteness explicitly.
         nan = float("nan")
-        with pytest.raises(ChaosPlanError, match="finite"):
-            ChaosPlan(seed=0, horizon_us=SEC,
-                      bursts=[AntagonistBurst(nan, "fork_bomb")])
-        with pytest.raises(ChaosPlanError, match="finite"):
-            ChaosPlan(seed=0, horizon_us=SEC,
-                      bursts=[AntagonistBurst(0, "fork_bomb", scale=nan)])
-        with pytest.raises(ChaosPlanError, match="finite"):
-            ChaosPlan(seed=0, horizon_us=float("inf"))
+        with pytest.raises(ScenarioError, match="finite"):
+            with_burst(AntagonistBurst(nan, "fork_bomb"))
+        with pytest.raises(ScenarioError, match="finite"):
+            with_burst(AntagonistBurst(0, "fork_bomb", scale=nan))
+        with pytest.raises(ScenarioError, match="finite"):
+            generate_plan(seed=0).replace_machine(horizon_us=float("inf"))
 
     def test_json_round_trip(self):
         plan = generate_plan(seed=7)
-        clone = ChaosPlan.from_json(plan.to_json())
+        clone = ScenarioSpec.from_json(plan.to_json())
+        assert clone.harness == "chaos"
         assert clone.to_dict() == plan.to_dict()
         assert len(clone) == len(plan)
 
     def test_from_json_rejects_garbage(self):
-        with pytest.raises(ChaosPlanError, match="not valid JSON"):
-            ChaosPlan.from_json("{nope")
-        with pytest.raises(ChaosPlanError, match="missing fields"):
-            ChaosPlan.from_json('{"seed": 0}')
-        with pytest.raises(ChaosPlanError, match="bad burst fields"):
-            ChaosPlan.from_json(
-                '{"seed": 0, "horizon_us": 1000, "faults": [],'
-                ' "bursts": [{"when": 3}]}'
-            )
-        with pytest.raises(ChaosPlanError, match="bad fault plan"):
-            ChaosPlan.from_json(
-                '{"seed": 0, "horizon_us": 1000, "bursts": [],'
-                ' "faults": [{"kind": "meteor_strike", "at_us": 1}]}'
-            )
+        with pytest.raises(ScenarioError, match="not valid JSON"):
+            ScenarioSpec.from_json("{nope")
+        with pytest.raises(ScenarioError, match="missing fields"):
+            ScenarioSpec.from_json('{"seed": 0}')
+        record = generate_plan(seed=0).to_dict()
+        with pytest.raises(ScenarioError, match="bad burst fields"):
+            ScenarioSpec.from_dict(dict(record, bursts=[{"when": 3}]))
+        with pytest.raises(ScenarioError, match="bad fault plan"):
+            ScenarioSpec.from_dict(dict(
+                record, faults=[{"kind": "meteor_strike", "at_us": 1}]
+            ))
 
     def test_generation_is_deterministic_and_legal(self):
         for seed in range(30):
             plan = generate_plan(seed)
             again = generate_plan(seed)
             assert plan.to_dict() == again.to_dict()
+            assert (plan.harness, plan.scheme, plan.workloads) == (
+                "chaos", "piso", []
+            )
             assert plan.bursts, "every plan carries at least one antagonist"
             online = CHAOS_NCPUS
             for event in plan.faults:
@@ -96,7 +88,7 @@ class TestChaosPlan:
 class TestSoak:
     def test_clean_run_has_progress_and_no_violations(self):
         plan = generate_plan(seed=1, horizon_us=1500 * MSEC)
-        result = run_chaos(plan)
+        result = run_scenario(plan)
         assert result.ok
         assert result.checkpoints > 0
         assert result.journal[0].startswith("plan |")
@@ -109,102 +101,53 @@ class TestSoak:
 
 
 class TestReproAndShrink:
-    def make_failing(self):
+    def make_failing(self, monkeypatch):
+        # The planted bug leaks pages whenever a burst fires.
+        monkeypatch.setenv(ENV_PLANT, "burst-leak")
         plan = generate_plan(seed=2, horizon_us=1200 * MSEC)
-        result = run_chaos(plan, sabotage=sabotage_page_leak)
+        result = run_scenario(plan)
         assert not result.ok
         assert result.violations[0].name == "page-conservation"
         return plan, result
 
-    def test_repro_record_requires_a_violation(self):
-        plan = generate_plan(seed=1, horizon_us=1200 * MSEC)
-        with pytest.raises(ValueError, match="no violation"):
-            repro_record(run_chaos(plan))
-
-    def test_repro_file_replays_to_the_same_violation(self, tmp_path):
-        plan, result = self.make_failing()
+    def test_repro_file_replays_to_the_same_violation(self, tmp_path,
+                                                      monkeypatch):
+        plan, result = self.make_failing(monkeypatch)
         path = str(tmp_path / "repro.json")
         write_repro(path, result)
         loaded_plan, recorded = load_repro(path)
         assert loaded_plan.to_dict() == plan.to_dict()
-        replayed = replay(path, sabotage=sabotage_page_leak)
+        replayed = replay(path)
         assert not replayed.ok
         assert replayed.violations[0] == recorded
         assert replayed.journal == result.journal
 
-    def test_load_rejects_foreign_files(self, tmp_path):
-        path = tmp_path / "other.json"
-        path.write_text('{"format": "something-else"}')
-        with pytest.raises(ChaosPlanError, match="not a chaos repro"):
-            load_repro(str(path))
-
-    def test_shrink_reaches_a_minimal_plan(self):
-        plan, result = self.make_failing()
-        assert len(plan) > 0
-        shrunk = shrink_plan(
-            plan, result.violations[0].name, sabotage=sabotage_page_leak
-        )
-        # The sabotage fires regardless of the schedule, so the minimal
-        # reproduction is (well under) three events.
-        assert len(shrunk.plan) <= 3
-        assert shrunk.runs >= 1
-        final = run_chaos(shrunk.plan, sabotage=sabotage_page_leak)
+    def test_shrink_reaches_a_minimal_plan(self, monkeypatch):
+        plan, result = self.make_failing(monkeypatch)
+        assert len(plan) > 1
+        shrunk = shrink_scenario(plan, result.violations[0].name)
+        # One burst is the whole reproduction, and the shrunken plan
+        # still runs as a chaos plan.
+        assert len(shrunk.scenario) == len(shrunk.scenario.bursts) == 1
+        assert shrunk.scenario.harness == "chaos"
+        final = run_scenario(shrunk.scenario)
         assert any(v.name == "page-conservation" for v in final.violations)
-
-    def test_shrink_refuses_a_passing_plan(self):
-        plan = generate_plan(seed=1, horizon_us=1200 * MSEC)
-        with pytest.raises(ValueError, match="cannot shrink"):
-            shrink_plan(plan, "page-conservation")
-
-    def test_already_minimal_plan_survives_shrinking(self):
-        # A plan whose only event is essential: ddmin probes the empty
-        # set, sees the violation vanish, and keeps the single event.
-        def leak_on_fork(kernel):
-            original = kernel.spawn
-
-            def spawn(*args, **kwargs):
-                if str(kwargs.get("name", "")).startswith("fork_bomb"):
-                    kernel.memory.total_pages += 1
-                return original(*args, **kwargs)
-
-            kernel.spawn = spawn
-
-        base = generate_plan(seed=2, horizon_us=1200 * MSEC)
-        plan = base.replace_events(
-            [AntagonistBurst(at_us=100 * MSEC, kind="fork_bomb")], []
-        )
-        result = run_chaos(plan, sabotage=leak_on_fork)
-        assert not result.ok
-        shrunk = shrink_plan(
-            plan, result.violations[0].name, sabotage=leak_on_fork
-        )
-        assert len(shrunk.plan) == 1
-        assert shrunk.plan.bursts[0].kind == "fork_bomb"
-
-    def test_failure_that_stops_reproducing_keeps_the_full_plan(self):
-        # A heisenbug: the sabotage fires on the first run (the
-        # shrinker's own initial check) and never again.  Every ddmin
-        # probe then passes, so the shrink terminates with the full
-        # plan rather than looping or returning a passing subset.
-        state = {"armed": True}
-
-        def fickle(kernel):
-            if state["armed"]:
-                state["armed"] = False
-                kernel.memory.total_pages += 50
-
-        plan, _ = self.make_failing()
-        shrunk = shrink_plan(
-            plan, "page-conservation", sabotage=fickle, max_runs=16
-        )
-        assert not state["armed"], "sabotage never fired"
-        assert len(shrunk.plan) == len(plan)
-        assert shrunk.runs <= 16
 
 
 class TestCli:
     def test_clean_seeds_exit_zero(self, capsys):
-        from repro.chaos.__main__ import main
         assert main(["--seeds", "1", "--horizon-ms", "1200"]) == 0
         out = capsys.readouterr().out
         assert "seed 1: ok" in out
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seeds", "0", "--horizon-ms", "0"], "--horizon-ms"),
+        (["--seeds", "0", "--horizon-ms", "-5"], "--horizon-ms"),
+        (["--seed", "-1"], "--seed"),
+        (["--seeds", "0", "-1"], "--seeds"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, flag, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err

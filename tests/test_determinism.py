@@ -52,12 +52,13 @@ def test_memory_experiment_replays_exactly():
 def test_chaos_journal_replays_byte_identical():
     # The chaos journal is the replay contract: the same seed must
     # produce the same plan, the same run, and the same journal text.
-    from repro.chaos import generate_plan, run_chaos
+    from repro.chaos import generate_plan
+    from repro.fuzz.runner import run_scenario
     from repro.sim.units import MSEC
 
     def journal(seed):
         plan = generate_plan(seed, horizon_us=1500 * MSEC)
-        return "\n".join(run_chaos(plan).journal)
+        return "\n".join(run_scenario(plan).journal)
 
     assert journal(5) == journal(5)
     assert journal(5) != journal(6)

@@ -2,6 +2,9 @@
 
 import json
 
+import pytest
+
+from repro.chaos.soak import main as chaos_main
 from repro.fuzz.__main__ import main as fuzz_main
 from repro.fuzz.runner import ENV_PLANT
 
@@ -41,6 +44,20 @@ class TestCampaignCli:
         assert "violation=1" in out
         assert "fuzz-repro-0.json" in out
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "0", "--count", "1", "--horizon-ms", "-5"],
+         "--horizon-ms"),
+        (["--seed", "-1", "--count", "1"], "--seed"),
+        (["--seeds", "3", "-1"], "--seeds"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, flag, tmp_path,
+                                          capsys):
+        corpus = str(tmp_path / "corpus.jsonl")
+        with pytest.raises(SystemExit) as exc:
+            fuzz_main(argv + ["--corpus", corpus])
+        assert exc.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+
 
 class TestReplayCli:
     def test_replay_round_trip(self, tmp_path, capsys, monkeypatch):
@@ -50,13 +67,21 @@ class TestReplayCli:
             "--seeds", "0", "--corpus", corpus, "--horizon-ms", "500",
             "--shrink-budget", "12",
         ])
-        repro = str(tmp_path / "fuzz-repro-0.json")
-        # With the bug still planted, the repro reproduces: exit 1.
-        assert fuzz_main(["--repro", repro]) == 1
-        assert "page-conservation" in capsys.readouterr().out
-        # With the bug "fixed", the same repro runs clean: exit 0.
+        # The chaos soak writes the same repro-file format.
+        chaos_repro = str(tmp_path / "chaos-repro.json")
+        assert chaos_main([
+            "--seeds", "0", "--horizon-ms", "500", "--repro", chaos_repro,
+        ]) == 1
+        capsys.readouterr()
+        repros = [str(tmp_path / "fuzz-repro-0.json"), chaos_repro]
+        # With the bug still planted, each repro reproduces: exit 1.
+        for repro in repros:
+            assert fuzz_main(["--repro", repro]) == 1
+            assert "page-conservation" in capsys.readouterr().out
+        # With the bug "fixed", the same repros run clean: exit 0.
         monkeypatch.delenv(ENV_PLANT)
-        assert fuzz_main(["--repro", repro]) == 0
+        for repro in repros:
+            assert fuzz_main(["--repro", repro]) == 0
 
 
 class TestFrontDoor:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.chaos.plan import AntagonistBurst
+from repro.chaos import generate_plan
 from repro.faults.plan import FaultPlan
 from repro.fuzz.runner import (
     ENV_PLANT,
@@ -10,7 +10,12 @@ from repro.fuzz.runner import (
     run_record,
     run_scenario,
 )
-from repro.fuzz.scenario import SCHEMES, ScenarioSpec, WorkloadSpec
+from repro.fuzz.scenario import (
+    SCHEMES,
+    AntagonistBurst,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.sim.units import MSEC
 
 
@@ -24,6 +29,11 @@ def scenario_with(**overrides):
     )
     fields.update(overrides)
     return ScenarioSpec(**fields)
+
+
+def planted_inputs():
+    """A fuzz scenario and a chaos plan: the oracles judge both."""
+    return [scenario_with(), generate_plan(5, horizon_us=400 * MSEC)]
 
 
 class TestCleanRuns:
@@ -61,33 +71,41 @@ class TestCleanRuns:
 class TestPlantedBug:
     def test_page_leak_is_caught_by_the_watchdog(self, monkeypatch):
         monkeypatch.setenv(ENV_PLANT, "page-leak")
-        result = run_scenario(scenario_with())
-        assert not result.ok
-        assert {v.name for v in result.violations} == {"page-conservation"}
+        for scenario in planted_inputs():
+            result = run_scenario(scenario)
+            assert not result.ok
+            assert {v.name for v in result.violations} == {"page-conservation"}
 
     def test_burst_leak_needs_a_burst_to_fire(self, monkeypatch):
         monkeypatch.setenv(ENV_PLANT, "burst-leak")
-        quiet = run_scenario(scenario_with())
-        assert quiet.ok  # no bursts, no leak
-        noisy = run_scenario(scenario_with(
-            bursts=[AntagonistBurst(at_us=50 * MSEC, kind="lock_hogger")]
-        ))
-        assert not noisy.ok
-        assert any(v.name == "page-conservation" for v in noisy.violations)
+        burst = AntagonistBurst(at_us=50 * MSEC, kind="lock_hogger")
+        for scenario in planted_inputs():
+            quiet = scenario.replace_events(
+                scenario.workloads, [], scenario.faults.events
+            )
+            assert run_scenario(quiet).ok  # no bursts, no leak
+            noisy = run_scenario(scenario.replace_events(
+                scenario.workloads, [burst], scenario.faults.events
+            ))
+            assert not noisy.ok
+            assert any(v.name == "page-conservation" for v in noisy.violations)
 
     def test_simsan_catches_the_leak_at_event_granularity(self, monkeypatch):
+        # The sanitizer's raise becomes a violation in a chaos run too.
         monkeypatch.setenv(ENV_PLANT, "page-leak")
-        result = run_scenario(scenario_with(), simsan=True)
-        assert not result.ok
-        assert any(v.name == "simsan" for v in result.violations)
+        for scenario in planted_inputs():
+            result = run_scenario(scenario, simsan=True)
+            assert not result.ok
+            assert any(v.name == "simsan" for v in result.violations)
 
     def test_simsan_stays_quiet_on_clean_runs(self):
-        result = run_scenario(scenario_with(), simsan=True)
-        assert result.ok
+        for scenario in planted_inputs():
+            assert run_scenario(scenario, simsan=True).ok
 
     def test_unset_plant_means_no_violation(self, monkeypatch):
         monkeypatch.delenv(ENV_PLANT, raising=False)
-        assert run_scenario(scenario_with()).ok
+        for scenario in planted_inputs():
+            assert run_scenario(scenario).ok
 
 
 class TestWorkloadTranslation:

@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults.plan import DiskFailure, DiskTransient, FaultPlan
 from repro.fuzz.generate import generate_scenario
 from repro.fuzz.scenario import (
@@ -13,6 +12,7 @@ from repro.fuzz.scenario import (
     NDISKS_RANGE,
     SCHEMES,
     WORKLOAD_KINDS,
+    AntagonistBurst,
     ScenarioError,
     ScenarioSpec,
     WorkloadSpec,
@@ -40,6 +40,27 @@ class TestValidation:
     def test_rejects_unknown_scheme(self):
         with pytest.raises(ScenarioError, match="unknown scheme"):
             small_scenario(scheme="round_robin")
+
+    def test_rejects_unknown_harness(self):
+        with pytest.raises(ScenarioError, match="unknown harness"):
+            small_scenario(harness="soak")
+
+    def test_rejects_bad_bursts(self):
+        # NaN slips past ordinary range checks (every comparison is
+        # False), so bursts check finiteness explicitly.
+        nan, inf = float("nan"), float("inf")
+        for burst, match in (
+            (AntagonistBurst(0, "nuke"), "unknown antagonist"),
+            (AntagonistBurst(nan, "fork_bomb"), "at_us must be a finite"),
+            (AntagonistBurst(inf, "fork_bomb"), "at_us must be a finite"),
+            (AntagonistBurst(0, "fork_bomb", scale=nan), "scale must be a finite"),
+            (AntagonistBurst(0, "fork_bomb", scale=inf), "scale must be a finite"),
+            (AntagonistBurst(-5, "fork_bomb"), "before boot"),
+            (AntagonistBurst(0, "fork_bomb", scale=0), "scale must be positive"),
+            (AntagonistBurst(0, "fork_bomb", scale=-1), "scale must be positive"),
+        ):
+            with pytest.raises(ScenarioError, match=match):
+                small_scenario(bursts=[burst])
 
     def test_rejects_unknown_workload_kind(self):
         with pytest.raises(ScenarioError, match="unknown workload"):
@@ -80,6 +101,8 @@ class TestValidation:
             small_scenario(memory_mb=MEMORY_MB_RANGE[0] - 1)
         with pytest.raises(ScenarioError, match="ndisks"):
             small_scenario(ndisks=NDISKS_RANGE[1] + 1)
+        with pytest.raises(ScenarioError, match="horizon_us"):
+            small_scenario(horizon_us=0)
 
     def test_rejects_excessive_intensity(self):
         with pytest.raises(ScenarioError, match="intensity"):
@@ -94,6 +117,14 @@ class TestRoundTrip:
         rebuilt = ScenarioSpec.from_json(scenario.to_json())
         assert rebuilt.to_dict() == scenario.to_dict()
         assert rebuilt.fingerprint() == scenario.fingerprint()
+
+    def test_only_a_chaos_record_names_its_harness(self):
+        # Fuzz records predate the field, so their fingerprints (and
+        # every corpus line and digest) stay as they were.
+        assert "harness" not in small_scenario().to_dict()
+        chaos = small_scenario(harness="chaos")
+        assert chaos.to_dict()["harness"] == "chaos"
+        assert chaos.fingerprint() != small_scenario().fingerprint()
 
     def test_from_dict_rejects_foreign_formats(self):
         record = small_scenario().to_dict()
@@ -130,6 +161,11 @@ class TestDerivedForms:
         assert (stripped.ncpus, stripped.memory_mb, stripped.ndisks) == (
             scenario.ncpus, scenario.memory_mb, scenario.ndisks
         )
+
+    def test_derived_forms_keep_the_harness(self):
+        scenario = small_scenario(harness="chaos")
+        assert scenario.replace_events([], [], []).harness == "chaos"
+        assert scenario.replace_machine(ncpus=1).harness == "chaos"
 
     def test_replace_machine_revalidates(self):
         scenario = small_scenario()

@@ -2,10 +2,14 @@
 
 import pytest
 
-from repro.chaos.plan import AntagonistBurst
 from repro.faults.plan import DiskFailure, FaultPlan
 from repro.fuzz.runner import ENV_PLANT, run_scenario
-from repro.fuzz.scenario import ScenarioError, ScenarioSpec, WorkloadSpec
+from repro.fuzz.scenario import (
+    AntagonistBurst,
+    ScenarioError,
+    ScenarioSpec,
+    WorkloadSpec,
+)
 from repro.fuzz.shrink import (
     MIN_HORIZON_US,
     load_repro,

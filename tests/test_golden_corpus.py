@@ -6,15 +6,19 @@ fleet, but none of them decommissions memory, runs goal control,
 schedules gangs, or recovers or partitions a fleet.  The fuzz corpus,
 the chaos soak and the examples do.  Each fuzz or chaos cell below is
 a pure function of its seed and horizon; its digest (and event count,
-where the record has one) is pinned in ``golden_corpus.json``.  Each
-example other than ``reproduce_paper.py`` is run as its own process,
-as CI runs it, and the sha256 of its stdout is pinned.  Re-pin on
+where the record has one) is pinned in ``golden_corpus.json``.  The
+sha256 of CI's chaos soak stdout (seeds 0–19 at 3000 ms, run
+in-process) is pinned too.  Each example other than
+``reproduce_paper.py`` is run as its own process, as CI runs it, and
+the sha256 of its stdout is pinned.  Re-pin on
 purpose, so the new pins show in review, with
 
     PYTHONPATH=src python -m tests.test_golden_corpus --update
 """
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -23,11 +27,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.chaos import run_chaos
-from repro.chaos.plan import generate_plan
+from repro.__main__ import main as repro_main
+from repro.chaos import generate_plan
 from repro.fuzz.fleet import run_fleet_fuzz_record
 from repro.fuzz.generate import generate_scenario
-from repro.fuzz.runner import run_record
+from repro.fuzz.runner import run_record, run_scenario
 from repro.sim.units import MSEC
 
 PINS_PATH = Path(__file__).resolve().with_name("golden_corpus.json")
@@ -39,6 +43,9 @@ FLEET_FUZZ_SEEDS = range(10)
 FLEET_FUZZ_HORIZON_MS = 300
 CHAOS_SEEDS = range(5)
 CHAOS_HORIZON_MS = 1500
+#: CI's chaos soak: these seeds at the horizons below.
+SOAK_SEEDS = range(20)
+SOAK_HORIZONS_MS = (3000,)
 #: Every example but ``reproduce_paper.py``, which runs the experiments
 #: that ``test_golden_outputs.py`` already pins.
 EXAMPLES = (
@@ -65,9 +72,22 @@ def fleet_fuzz_cell(seed: int) -> dict:
 
 def chaos_cell(seed: int) -> dict:
     """The digest of one chaos soak's journal."""
-    result = run_chaos(generate_plan(seed, horizon_us=CHAOS_HORIZON_MS * MSEC))
+    result = run_scenario(
+        generate_plan(seed, horizon_us=CHAOS_HORIZON_MS * MSEC)
+    )
     text = "\n".join(result.journal)
     return {"digest": hashlib.sha256(text.encode()).hexdigest()[:16]}
+
+
+def chaos_soak_cell(horizon_ms: int) -> dict:
+    """The sha256 of ``repro chaos --seeds 0 … 19 --horizon-ms H``'s stdout."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        repro_main([
+            "chaos", "--seeds", *map(str, SOAK_SEEDS),
+            "--horizon-ms", str(horizon_ms), "--repro", os.devnull,
+        ])
+    return {"sha256": hashlib.sha256(out.getvalue().encode()).hexdigest()}
 
 
 def example_cell(name: str) -> dict:
@@ -84,6 +104,7 @@ CELLS = {
     "fuzz": (fuzz_cell, FUZZ_SEEDS),
     "fleet_fuzz": (fleet_fuzz_cell, FLEET_FUZZ_SEEDS),
     "chaos": (chaos_cell, CHAOS_SEEDS),
+    "chaos_soak": (chaos_soak_cell, SOAK_HORIZONS_MS),
     "examples": (example_cell, EXAMPLES),
 }
 

@@ -23,7 +23,7 @@ import hashlib
 
 import pytest
 
-from repro.chaos import generate_plan, run_chaos
+from repro.chaos import generate_plan
 from repro.core import (
     AdaptiveContract,
     EqualShareContract,
@@ -154,7 +154,7 @@ def test_chaos_soak(seed):
     plan = generate_plan(seed, horizon_us=1500 * MSEC)
 
     def run():
-        return digest(run_chaos(plan).journal)
+        return digest(run_scenario(plan).journal)
 
     assert_oracles_agree(run)
 

@@ -5,10 +5,11 @@ from dataclasses import replace
 
 import pytest
 
-from repro.chaos import generate_plan, run_chaos
+from repro.chaos import generate_plan
 from repro.core import piso_scheme
 from repro.disk.drive import SpuBandwidthLedger
 from repro.disk.model import fast_disk
+from repro.fuzz.runner import run_scenario
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, NicSpec, WriteFile
 from repro.net import MTU_BYTES
 from repro.sanitizer import (
@@ -286,8 +287,8 @@ class TestBehaviourUnchanged:
     def test_chaos_journal_identical_with_simsan(self, monkeypatch):
         horizon = 200 * MSEC
         monkeypatch.delenv(ENV_ENABLE, raising=False)
-        plain = run_chaos(generate_plan(seed=3, horizon_us=horizon))
+        plain = run_scenario(generate_plan(seed=3, horizon_us=horizon))
         monkeypatch.setenv(ENV_ENABLE, "1")
-        sanitized = run_chaos(generate_plan(seed=3, horizon_us=horizon))
+        sanitized = run_scenario(generate_plan(seed=3, horizon_us=horizon))
         assert sanitized.ok, sanitized.violations
         assert sanitized.journal == plain.journal
