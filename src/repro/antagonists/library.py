@@ -102,9 +102,10 @@ def _memory_bomb(pages: int, rounds: int, burst_us: int) -> Behavior:
     """
 
     def behavior() -> Behavior:
+        burst = Compute(burst_us)
         yield SetWorkingSet(pages=pages, touches_per_ms=8.0)
         for _ in range(rounds):
-            yield Compute(burst_us)
+            yield burst
         yield SetWorkingSet(pages=0)
 
     return behavior()
@@ -148,12 +149,16 @@ def _lock_hogger(lock: "KernelLock", rounds: int, hold_us: int, gap_us: int) -> 
     """Exclusively hold a shared kernel lock for long bursts."""
 
     def behavior() -> Behavior:
+        acquire = Acquire(lock)
+        hold = Compute(hold_us)
+        release = Release(lock)
+        gap = Sleep(gap_us)
         for _ in range(rounds):
-            yield Acquire(lock)
-            yield Compute(hold_us)
-            yield Release(lock)
+            yield acquire
+            yield hold
+            yield release
             if gap_us:
-                yield Sleep(gap_us)
+                yield gap
 
     return behavior()
 

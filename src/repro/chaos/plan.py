@@ -32,7 +32,7 @@ from repro.faults.plan import (
     FaultPlan,
     MemoryLoss,
 )
-from repro.fuzz.scenario import AntagonistBurst, ScenarioSpec
+from repro.fuzz.scenario import AntagonistBurst, ScenarioSpec, _check_int
 from repro.sim.units import MSEC, SEC
 
 #: The chaos machine shape.
@@ -56,8 +56,10 @@ def generate_plan(
     Bursts land in the first half of the horizon (so their damage has
     time to show); faults are drawn in time order against a running
     model of machine state, keeping the schedule legal at generation
-    time.
+    time.  A horizon below 1 us raises
+    :class:`~repro.fuzz.scenario.ScenarioError` before anything is drawn.
     """
+    _check_int("horizon_us", horizon_us, lo=1)
     rng = random.Random(f"{seed}/chaos/plan")
 
     bursts = []

@@ -189,7 +189,9 @@ class CpuScheduler:
         return [p for p in procs if self.eligibility(p, now)]  # simlint: dynamic=callback-field
 
     def _pop_best(self, spu_id: int, now: int) -> Optional[SchedulableProcess]:
-        queue = self._eligible(self._queues.get(spu_id, []), now)
+        queue = self._queues.get(spu_id)
+        if queue and self.eligibility is not None:
+            queue = self._eligible(queue, now)
         if not queue:
             return None
         best = self._best(queue, now)
@@ -218,7 +220,9 @@ class CpuScheduler:
 
     def pick(self, cpu: Processor, now: int) -> Optional[SchedulableProcess]:
         """Choose the next process for an idle CPU (marks it running)."""
-        if not cpu.idle:
+        # Processor.idle and home_of, read inline: this runs on every
+        # dispatch.
+        if cpu.running is not None or not cpu.online:
             raise ValueError(f"cpu{cpu.cpu_id} is not idle")
         if not self._nwaiting:
             # Nothing queued: every branch below would find no candidate
@@ -228,7 +232,7 @@ class CpuScheduler:
             proc = self._pop_best_foreign(home=None, now=now)
             loan = False
         else:
-            home = self.home_of(cpu)
+            home = self.partition._home.get(cpu.cpu_id)
             proc = self._pop_best(home, now) if home is not None else None
             loan = False
             if proc is None and self.scheme.cpu_lending and now >= cpu.no_loan_until:
@@ -261,19 +265,24 @@ class CpuScheduler:
         when a process becomes runnable rather than waiting for the
         next natural dispatch.
         """
-        idle = [c for c in self.processors if c.online and c.running is None]
-        if not idle:
-            return None
         if not self.scheme.cpu_partitioned:
-            return idle[0]
+            for cpu in self.processors:
+                if cpu.running is None and cpu.online:
+                    return cpu
+            return None
+        # One pass, no list: the first idle home CPU wins; failing
+        # that, the first idle CPU open to a loan.
         home_get = self.partition._home.get
-        for cpu in idle:
-            if home_get(cpu.cpu_id) == proc.spu_id:
-                return cpu
-        if self.scheme.cpu_lending:
-            lendable = [c for c in idle if now >= c.no_loan_until]
-            return lendable[0] if lendable else None
-        return None
+        spu_id = proc.spu_id
+        lending = self.scheme.cpu_lending
+        lendable = None
+        for cpu in self.processors:
+            if cpu.running is None and cpu.online:
+                if home_get(cpu.cpu_id) == spu_id:
+                    return cpu
+                if lending and lendable is None and now >= cpu.no_loan_until:
+                    lendable = cpu
+        return lendable
 
     # --- loan revocation ---------------------------------------------------------
 

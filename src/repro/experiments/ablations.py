@@ -60,12 +60,17 @@ def _lookup_job(
     lock: KernelLock, lookups: int, crit_us: int, work_us: int, write_every: int
 ) -> Behavior:
     """A filesystem-metadata-heavy job: mostly shared inode lookups."""
+    lookup = Acquire(lock, shared=True)
+    update = Acquire(lock, shared=False)
+    crit = Compute(crit_us)
+    release = Release(lock)
+    work = Compute(work_us)
     for i in range(lookups):
         exclusive = write_every > 0 and i % write_every == write_every - 1
-        yield Acquire(lock, shared=not exclusive)
-        yield Compute(crit_us)
-        yield Release(lock)
-        yield Compute(work_us)
+        yield update if exclusive else lookup
+        yield crit
+        yield release
+        yield work
 
 
 def run_lock_ablation(

@@ -34,6 +34,7 @@ from repro.fuzz.scenario import (
     AntagonistBurst,
     ScenarioSpec,
     WorkloadSpec,
+    _check_int,
 )
 from repro.sim.units import MSEC, SEC
 
@@ -59,7 +60,11 @@ def generate_scenario(
 
     ``horizon_us``/``scheme`` pin those draws (the CI campaign pins the
     horizon to keep its budget); everything else comes from the seed.
+    A pinned horizon below 1 us raises
+    :class:`~repro.fuzz.scenario.ScenarioError` before anything is drawn.
     """
+    if horizon_us is not None:
+        _check_int("horizon_us", horizon_us, lo=1)
     rng = random.Random(f"{seed}/fuzz/scenario")
 
     ncpus = rng.choice(GEN_NCPUS)

@@ -128,12 +128,16 @@ def victim_job(lock: KernelLock, rounds: int, tag: str) -> Behavior:
     path (so a lock hogger is an actual antagonist for it) without
     making progress depend on anything an attacker can hold for long.
     """
+    acquire = Acquire(lock, shared=True)
+    hold = Compute(VICTIM_LOCK_HOLD_US)
+    release = Release(lock)
+    burst = Compute(VICTIM_BURST_US)
     yield SetWorkingSet(pages=VICTIM_WS_PAGES)
     for i in range(rounds):
-        yield Acquire(lock, shared=True)
-        yield Compute(VICTIM_LOCK_HOLD_US)
-        yield Release(lock)
-        yield Compute(VICTIM_BURST_US)
+        yield acquire
+        yield hold
+        yield release
+        yield burst
         yield Checkpoint(f"{tag}.{i}")
     yield SetWorkingSet(pages=0)
 

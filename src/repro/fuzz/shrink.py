@@ -11,7 +11,8 @@ horizon).  :func:`shrink_scenario` minimises both:
 2. greedy dimension reduction — repeatedly halve CPUs, memory, and the
    horizon and drop disks (never below the floor a remaining event
    still references), keeping each reduction only if the violation
-   still reproduces.
+   still reproduces.  A chaos plan keeps its fixed machine and shrinks
+   only its horizon.
 
 The result lands in a **repro file**: the minimal scenario plus the
 violation it produces, replayable with ``python -m repro fuzz --repro
@@ -130,19 +131,23 @@ def _disk_floor(scenario: ScenarioSpec) -> int:
 
 
 def _dim_candidates(scenario: ScenarioSpec) -> List[ScenarioSpec]:
-    """The next batch of single-dimension reductions to try, in order."""
+    """The next batch of single-dimension reductions to try, in order.
+
+    A chaos plan keeps the fixed chaos machine, which its journal
+    header does not name: only its horizon shrinks.
+    """
     out = []
-    if scenario.ncpus > MIN_NCPUS:
-        out.append(scenario.replace_machine(
-            ncpus=max(MIN_NCPUS, scenario.ncpus // 2)
-        ))
-    if scenario.memory_mb > MIN_MEMORY_MB:
-        out.append(scenario.replace_machine(
-            memory_mb=max(MIN_MEMORY_MB, scenario.memory_mb // 2)
-        ))
-    floor = _disk_floor(scenario)
-    if scenario.ndisks > floor:
-        out.append(scenario.replace_machine(ndisks=scenario.ndisks - 1))
+    if scenario.harness != "chaos":
+        if scenario.ncpus > MIN_NCPUS:
+            out.append(scenario.replace_machine(
+                ncpus=max(MIN_NCPUS, scenario.ncpus // 2)
+            ))
+        if scenario.memory_mb > MIN_MEMORY_MB:
+            out.append(scenario.replace_machine(
+                memory_mb=max(MIN_MEMORY_MB, scenario.memory_mb // 2)
+            ))
+        if scenario.ndisks > _disk_floor(scenario):
+            out.append(scenario.replace_machine(ndisks=scenario.ndisks - 1))
     if scenario.horizon_us > MIN_HORIZON_US:
         out.append(scenario.replace_machine(
             horizon_us=max(MIN_HORIZON_US, scenario.horizon_us // 2)

@@ -838,7 +838,8 @@ class Kernel:  # simlint: disable=SL401
         escalation) may still have completions in flight; they land
         here and are dropped.
         """
-        if not proc.alive:
+        # Process.alive, read inline: every sleep ends here.
+        if proc.state is ProcessState.EXITED:
             return
         self._advance(proc)
 
@@ -1062,8 +1063,9 @@ class Kernel:  # simlint: disable=SL401
     #
     # _make_runnable, _dispatch and the slice helpers run on every burst,
     # and only after boot() (every entry point that reaches them checks
-    # first), so they read self.cpusched and the engine's clock field
-    # directly instead of going through _sched() and Engine.now.
+    # first), so they read self.cpusched, the engine's clock field and
+    # the processor's fields directly instead of going through _sched(),
+    # Engine.now and Processor.idle.
 
     def _make_runnable(self, proc: Process) -> None:
         proc.state = ProcessState.RUNNABLE
@@ -1141,7 +1143,7 @@ class Kernel:  # simlint: disable=SL401
         return self.cpusched
 
     def _dispatch(self, cpu: Processor) -> None:
-        if not cpu.idle:
+        if cpu.running is not None or not cpu.online:
             return
         proc = self.cpusched.pick(cpu, self.engine._now)
         if proc is None:
@@ -1268,7 +1270,7 @@ class Kernel:  # simlint: disable=SL401
         for cpu in sched.processors:
             if cpu.running is not None:
                 return False
-        return sched.waiting() == 0
+        return sched._nwaiting == 0
 
     def _skip_ticks(self, k: int) -> None:
         """Replay the state changes of ``k`` quiescent ticks at once.

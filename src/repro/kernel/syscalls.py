@@ -15,6 +15,13 @@ any).  Example::
 The kernel dispatches on an op's exact class (``type(op) is Compute``,
 not ``isinstance``), so an instance of a subclass of one of these ops
 is an unknown op and raises :class:`~repro.kernel.kernel.KernelError`.
+
+Ops are values.  They are frozen, and the kernel only reads their
+fields: it never mutates an op or keeps one past the syscall it
+serves.  A behaviour may therefore yield one instance any number of
+times (except a :class:`Spawn`, whose generator only one process can
+run), and the simulator's own behaviours build each loop-invariant op
+(with its ``msecs()`` conversion) once, before the loop.
 """
 
 from __future__ import annotations

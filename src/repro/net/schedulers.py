@@ -50,6 +50,8 @@ class FifoLinkScheduler(LinkScheduler):
     name = "fifo"
 
     def select(self, queue, now, ledger):
+        if len(queue) == 1:
+            return queue[0]
         return min(queue, key=lambda p: p.packet_id)
 
 
@@ -59,6 +61,13 @@ class FairShareLinkScheduler(LinkScheduler):
     name = "fair"
 
     def select(self, queue, now, ledger):
+        if len(queue) == 1:
+            # The ratio is read even for a lone head: the read creates
+            # the SPU's counter and anchors its decay grid, which later
+            # ratios depend on.
+            head = queue[0]
+            ledger.usage_ratio(head.spu_id, now)
+            return head
         ratios: Dict[int, float] = {
             spu_id: ledger.usage_ratio(spu_id, now)
             for spu_id in sorted({p.spu_id for p in queue})
@@ -83,6 +92,8 @@ class ThresholdFairLinkScheduler(LinkScheduler):
         self.threshold = threshold
 
     def select(self, queue, now, ledger):
+        if len(queue) == 1:
+            return queue[0]
         active = sorted({p.spu_id for p in queue})
         if len(active) <= 1:
             return min(queue, key=lambda p: p.packet_id)

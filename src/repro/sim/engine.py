@@ -163,12 +163,6 @@ class Engine:
 
     # --- queue internals ---------------------------------------------------
 
-    def _push(self, entry: Tuple[int, int, int, Any, Any]) -> None:
-        """File an entry in the queue."""
-        # entry is a (time, seq, ...) tuple; seq is unique, so
-        # comparison never reaches the payload.
-        heappush(self._queue, entry)  # simlint: disable=SL202
-
     def _peek_time(self) -> Optional[int]:
         """Time of the next pending entry (dead ones included), or None."""
         queue = self._queue
@@ -189,7 +183,7 @@ class Engine:
         handle = EventHandle(time, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        self._push((time, seq, _K_HANDLE, handle, None))
+        heappush(self._queue, (time, seq, _K_HANDLE, handle, None))
         return handle
 
     def after(
@@ -206,7 +200,7 @@ class Engine:
         handle = EventHandle(time, fn, args, daemon, self)
         if not daemon:
             self._live += 1
-        self._push((time, seq, _K_HANDLE, handle, None))
+        heappush(self._queue, (time, seq, _K_HANDLE, handle, None))
         return handle
 
     def call_at(
@@ -225,10 +219,10 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         if daemon:
-            self._push((time, seq, _K_CALL_D, fn, args))
+            heappush(self._queue, (time, seq, _K_CALL_D, fn, args))
         else:
             self._live += 1
-            self._push((time, seq, _K_CALL, fn, args))
+            heappush(self._queue, (time, seq, _K_CALL, fn, args))
 
     def call_after(
         self, delay: int, fn: Callable[..., None], *args: Any, daemon: bool = False
@@ -240,10 +234,10 @@ class Engine:
         seq = self._seq
         self._seq = seq + 1
         if daemon:
-            self._push((time, seq, _K_CALL_D, fn, args))
+            heappush(self._queue, (time, seq, _K_CALL_D, fn, args))
         else:
             self._live += 1
-            self._push((time, seq, _K_CALL, fn, args))
+            heappush(self._queue, (time, seq, _K_CALL, fn, args))
 
     def every(
         self,
@@ -333,7 +327,7 @@ class Engine:
         timer._skip_fn(k)
         seq = self._seq
         self._seq = seq + 1
-        self._push((time + k * period, seq, _K_TIMER, timer, None))
+        heappush(self._queue, (time + k * period, seq, _K_TIMER, timer, None))
         return k
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -484,7 +478,7 @@ class PeriodicTimer:
         eng._seq = seq + 1
         if not self.daemon:
             eng._live += 1
-        eng._push((first_time, seq, _K_TIMER, self, None))
+        heappush(eng._queue, (first_time, seq, _K_TIMER, self, None))
         self._scheduled = True
 
     def _dispatch(self, time: int) -> None:
@@ -499,7 +493,7 @@ class PeriodicTimer:
             eng._seq = seq + 1
             if not self.daemon:
                 eng._live += 1
-            eng._push((time + self.period, seq, _K_TIMER, self, None))
+            heappush(eng._queue, (time + self.period, seq, _K_TIMER, self, None))
             self._scheduled = True
 
     def stop(self) -> None:

@@ -41,13 +41,18 @@ def interactive_user(params: InteractiveParams = InteractiveParams()) -> Behavio
 
     Each burst is bracketed by checkpoints (``wake``/``done``), so
     :func:`burst_latencies_ms` can recover the full per-burst latency
-    distribution from the finished process.
+    distribution from the finished process.  Ops are immutable values,
+    so the four are built once and yielded every burst.
     """
+    think = Sleep(msecs(params.think_ms))
+    wake = Checkpoint("wake")
+    burst = Compute(msecs(params.burst_ms))
+    done = Checkpoint("done")
     for _ in range(params.bursts):
-        yield Sleep(msecs(params.think_ms))
-        yield Checkpoint("wake")
-        yield Compute(msecs(params.burst_ms))
-        yield Checkpoint("done")
+        yield think
+        yield wake
+        yield burst
+        yield done
 
 
 def burst_latencies_ms(proc, params: InteractiveParams) -> List[float]:
@@ -84,19 +89,22 @@ def rpc_client(
     count: int = 200, nbytes: int = 2 * KB, think_ms: float = 1.0, nic: int = 0
 ) -> Behavior:
     """Small request messages with think time between them."""
+    request = SendNetwork(nbytes, nic=nic)
+    think = Sleep(msecs(think_ms))
     for _ in range(count):
-        yield SendNetwork(nbytes, nic=nic)
-        yield Sleep(msecs(think_ms))
+        yield request
+        yield think
 
 
 def bulk_sender(
     total_bytes: int, message_bytes: int = 64 * KB, nic: int = 0
 ) -> Behavior:
     """Stream a large transfer in big messages."""
+    full = SendNetwork(message_bytes, nic=nic)
     sent = 0
     while sent < total_bytes:
         chunk = min(message_bytes, total_bytes - sent)
-        yield SendNetwork(chunk, nic=nic)
+        yield full if chunk == message_bytes else SendNetwork(chunk, nic=nic)
         sent += chunk
 
 

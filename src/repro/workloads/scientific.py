@@ -35,11 +35,13 @@ def ocean_processes(params: OceanParams) -> List[Behavior]:
     barrier = Barrier(params.nprocs, name="ocean")
 
     def worker() -> Behavior:
+        phase = Compute(msecs(params.phase_ms))
+        arrive = BarrierWait(barrier)
         if params.ws_pages:
             yield SetWorkingSet(params.ws_pages, touches_per_ms=params.touches_per_ms)
         for _ in range(params.phases):
-            yield Compute(msecs(params.phase_ms))
-            yield BarrierWait(barrier)
+            yield phase
+            yield arrive
 
     return [worker() for _ in range(params.nprocs)]
 

@@ -8,7 +8,12 @@ shrinker and repro files under test here are the fuzzer's; the
 import pytest
 
 from repro.chaos import generate_plan, run_soak
-from repro.chaos.plan import CHAOS_NCPUS, MIN_CPUS_ONLINE
+from repro.chaos.plan import (
+    CHAOS_MEMORY_MB,
+    CHAOS_NCPUS,
+    CHAOS_NDISKS,
+    MIN_CPUS_ONLINE,
+)
 from repro.chaos.soak import main
 from repro.faults.plan import CpuAdd, CpuRemove, DiskFailure
 from repro.fuzz.runner import ENV_PLANT, run_scenario
@@ -63,6 +68,11 @@ class TestChaosPlan:
             ScenarioSpec.from_dict(dict(
                 record, faults=[{"kind": "meteor_strike", "at_us": 1}]
             ))
+
+    @pytest.mark.parametrize("horizon_us", [0, -5])
+    def test_a_horizon_below_one_us_is_rejected(self, horizon_us):
+        with pytest.raises(ScenarioError, match="horizon_us must be >= 1"):
+            generate_plan(0, horizon_us=horizon_us)
 
     def test_generation_is_deterministic_and_legal(self):
         for seed in range(30):
@@ -130,6 +140,11 @@ class TestReproAndShrink:
         # still runs as a chaos plan.
         assert len(shrunk.scenario) == len(shrunk.scenario.bursts) == 1
         assert shrunk.scenario.harness == "chaos"
+        # Only the horizon shrinks: the journal header names no machine,
+        # so the plan keeps the fixed chaos machine.
+        machine = (shrunk.scenario.ncpus, shrunk.scenario.memory_mb,
+                   shrunk.scenario.ndisks)
+        assert machine == (CHAOS_NCPUS, CHAOS_MEMORY_MB, CHAOS_NDISKS) == (4, 16, 2)
         final = run_scenario(shrunk.scenario)
         assert any(v.name == "page-conservation" for v in final.violations)
 

@@ -215,3 +215,10 @@ class TestGeneration:
         free = generate_scenario(3)
         assert scenario.ncpus == free.ncpus
         assert scenario.memory_mb == free.memory_mb
+
+    @pytest.mark.parametrize("horizon_us", [0, -5])
+    def test_a_horizon_below_one_us_is_rejected(self, horizon_us):
+        # Named before anything is drawn, not as randrange()'s
+        # "empty range" from deep inside the draw.
+        with pytest.raises(ScenarioError, match="horizon_us must be >= 1"):
+            generate_scenario(0, horizon_us=horizon_us)

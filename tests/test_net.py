@@ -96,6 +96,34 @@ class TestSchedulers:
         p = packet(1)
         assert sched.select([p], 0, FakeLedger({1: 1e9})) is p
 
+    @pytest.mark.parametrize("policy", ["fifo", "fair", "threshold"])
+    def test_lone_head_matches_the_general_path(self, policy):
+        # A lone head is returned without the general path's work.  A
+        # queue of that head and a younger packet of its own SPU still
+        # takes the general path, which picks the same head; the ledger
+        # must end the same either way, including the counter that the
+        # fair policy's ratio read creates for an SPU never charged.
+        registry = SPURegistry()
+        spus = [registry.create(name) for name in ("a", "b")]
+        for spu in spus:
+            spu.disk_bw().set_entitled(2)
+        lone, general = NetByteLedger(registry), NetByteLedger(registry)
+        for ledger in (lone, general):
+            ledger.charge(spus[0].spu_id, 5000, 0)
+        now = 3 * lone.decay_period + 7
+        sched = make_link_scheduler(policy, threshold=0.0)
+        for spu in spus:
+            head = packet(spu.spu_id)
+            assert sched.select([head], now, lone) is head
+            assert sched.select([head, packet(spu.spu_id)], now, general) is head
+
+        def state(ledger):
+            return {spu_id: (c._value, c._last_decay)
+                    for spu_id, c in ledger._counters.items()}
+
+        assert state(lone) == state(general)
+        assert (spus[1].spu_id in state(lone)) == (policy == "fair")
+
     def test_negative_threshold_rejected(self):
         for threshold in (-1.0, math.nan):
             with pytest.raises(ValueError, match="threshold"):
