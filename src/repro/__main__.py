@@ -14,7 +14,7 @@ Subcommands:
   violations and serial-vs-parallel byte-identity
   (``python -m repro fleet --scheme piso --seed 0``);
 * ``lint`` — simlint, the simulator's own static analysis
-  (``python -m repro lint --baseline lint-baseline.json``).
+  (``python -m repro lint --effects``).
 
 The simulating subcommands share ``--seed``-style determinism and
 ``--workers`` for the parallel sweep executor (1 = in-process, 0 =

@@ -8,7 +8,7 @@ time, and runs to the horizon under the
 :class:`~repro.faults.OverloadGuard`.  Two invariant families are
 asserted:
 
-* the conservation laws (pages, CPU capacity, level sanity,
+* the conservation laws (ledger sanity, page and CPU conservation,
   starvation, dead drives), via the watchdog;
 * **victim progress**: no 250 ms window of the run may pass without a
   single victim checkpoint.  This is the paper's isolation claim as a

@@ -54,7 +54,7 @@ from repro.sim.units import KB, MSEC, SEC, msecs
 
 @dataclass(frozen=True)
 class AntagonistScenario:
-    """Machine shape, victim workload, and guard tuning."""
+    """Machine shape and victim workload."""
 
     ncpus: int = 8
     memory_mb: int = 32
@@ -66,10 +66,6 @@ class AntagonistScenario:
     victim_ws_pages: int = 512
     victim_lock_hold_us: int = 200
     antagonist_scale: float = 1.0
-    #: Overload-guard tuning shared by every run.
-    guard_pressure_threshold: int = 40
-    guard_throttle_after: int = 2
-    guard_kill_after: int = 4
     #: Hard stop for a shared run even if the victim never finishes.
     horizon_us: int = 120 * SEC
 
@@ -214,12 +210,7 @@ def run_shared(
     lock = KernelLock("inode", reader_writer=True, inheritance=True)
     watchdog = InvariantWatchdog(kernel)
     watchdog.start()
-    guard = OverloadGuard(
-        kernel,
-        pressure_threshold=scenario.guard_pressure_threshold,
-        throttle_after=scenario.guard_throttle_after,
-        kill_after=scenario.guard_kill_after,
-    )
+    guard = OverloadGuard(kernel)
     guard.start()
 
     victim_procs = _make_victim(kernel, victim, lock, scenario)

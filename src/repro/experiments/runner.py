@@ -94,6 +94,8 @@ def main(argv: List[str] = sys.argv[1:]) -> int:
         " $REPRO_CACHE_DIR)",
     )
     args = parser.parse_args(argv)
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
     named = list(args.sections) + list(args.only or [])
     chosen = named if named else list(known)
     for name in chosen:

@@ -30,7 +30,6 @@ from repro.faults.fleet import (
 from repro.faults.injector import FaultInjector
 from repro.faults.invariants import (
     Escalation,
-    InvariantViolation,
     InvariantWatchdog,
     OverloadGuard,
     Violation,
@@ -58,7 +57,6 @@ __all__ = [
     "FaultPlanError",
     "FleetFaultEvent",
     "FleetFaultPlan",
-    "InvariantViolation",
     "InvariantWatchdog",
     "MachineCrash",
     "MachineRecover",

@@ -10,16 +10,17 @@ of its introduction.
 
 Checked invariants:
 
-* **page conservation** — pages charged to SPUs plus the free list
-  equals the machine's (current, post-decommission) total;
-* **CPU capacity** — busy microseconds never exceed the capacity
-  integral (CPU-µs the online processors actually offered);
-* **level sanity** — no SPU uses more than it is allowed;
-* **no starvation** — no runnable process waits longer than the bound
-  (livelock in the retry/failover/renegotiation machinery would show
-  up here);
+* **ledger sanity**, **page conservation** and **CPU conservation** —
+  the laws it shares with SIMSAN, stated once in
+  :mod:`repro.faults.laws`;
+* **no starvation** — no runnable process waits longer than
+  :data:`STARVATION_BOUND_US` (livelock in the
+  retry/failover/renegotiation machinery would show up here);
 * **dead drives are quiet** — a failed drive holds no queued or
   in-flight work.
+
+Every breach is recorded as a :class:`Violation`; SIMSAN is the checker
+that raises at the corrupt event.
 """
 
 from __future__ import annotations
@@ -27,14 +28,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
+from repro.faults.laws import breaches
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import ProcessState
 from repro.sim.engine import PeriodicTimer
 from repro.sim.units import SEC
 
-
-class InvariantViolation(AssertionError):
-    """Raised in strict mode when a conservation law breaks."""
+#: No runnable process may wait longer than this for a CPU.
+STARVATION_BOUND_US = 10 * SEC
 
 
 @dataclass(frozen=True)
@@ -47,23 +48,10 @@ class Violation:
 
 
 class InvariantWatchdog:
-    """Re-checks kernel-wide invariants every ``period`` microseconds."""
+    """Re-checks kernel-wide invariants every clock tick."""
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        period: Optional[int] = None,
-        starvation_bound_us: int = 10 * SEC,
-        strict: bool = False,
-    ):
-        if starvation_bound_us <= 0:
-            raise ValueError("starvation bound must be positive")
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.period = (
-            period if period is not None else kernel.scheme.params.clock_tick
-        )
-        self.starvation_bound_us = starvation_bound_us
-        self.strict = strict
         self.violations: List[Violation] = []
         self.checks_run = 0
         self._timer: Optional[PeriodicTimer] = None
@@ -71,12 +59,10 @@ class InvariantWatchdog:
     def start(self) -> None:
         if self._timer is not None:
             raise RuntimeError("watchdog already started")
-        self._timer = self.kernel.engine.every(self.period, self.check)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
+        kernel = self.kernel
+        self._timer = kernel.engine.every(
+            kernel.scheme.params.clock_tick, self.check
+        )
 
     # --- the checks --------------------------------------------------------
 
@@ -86,43 +72,18 @@ class InvariantWatchdog:
         kernel = self.kernel
         now = kernel.engine.now
 
-        charged = sum(s.memory().used for s in kernel.registry.all_spus())
-        total = kernel.memory.total_pages
-        free = kernel.memory.free_pages
-        if charged + free != total:
-            self._flag(
-                "page-conservation",
-                f"{charged} charged + {free} free != {total} total",
-            )
-        if free < 0 or total < 1:
-            self._flag("page-pool", f"free={free} total={total}")
-
-        capacity = kernel.cpu_capacity_us(now)
-        busy = sum(kernel.cpu_busy_us.values())
-        if busy > capacity:
-            self._flag(
-                "cpu-capacity",
-                f"busy {busy}us exceeds offered capacity {capacity}us",
-            )
-
-        for spu in kernel.registry.all_spus():
-            for resource, levels in spu.levels.items():
-                if levels.used > levels.allowed:
-                    self._flag(
-                        "level-sanity",
-                        f"SPU {spu.spu_id} uses {levels.used}"
-                        f" > allowed {levels.allowed} of {resource}",
-                    )
+        for name, detail in breaches(kernel):
+            self._flag(name, detail)
 
         for proc in kernel.processes.values():
             if proc.state is not ProcessState.RUNNABLE:
                 continue
             waited = now - proc.runnable_since
-            if waited > self.starvation_bound_us:
+            if waited > STARVATION_BOUND_US:
                 self._flag(
                     "starvation",
                     f"pid {proc.pid} runnable for {waited}us"
-                    f" (bound {self.starvation_bound_us}us)",
+                    f" (bound {STARVATION_BOUND_US}us)",
                 )
 
         for drive in kernel.drives:
@@ -136,10 +97,18 @@ class InvariantWatchdog:
                 )
 
     def _flag(self, name: str, detail: str) -> None:
-        violation = Violation(self.kernel.engine.now, name, detail)
-        self.violations.append(violation)
-        if self.strict:
-            raise InvariantViolation(f"[t={violation.time_us}us] {name}: {detail}")
+        self.violations.append(Violation(self.kernel.engine.now, name, detail))
+
+
+#: The overload guard checks every this many clock ticks.
+GUARD_PERIOD_TICKS = 10
+#: Pressure per check (denials plus throttled and rejected I/O) that
+#: makes an SPU hot.
+PRESSURE_THRESHOLD = 40
+#: Consecutive hot checks before an SPU's admission limits are halved.
+THROTTLE_AFTER = 2
+#: Consecutive hot checks before its largest process is OOM-killed.
+KILL_AFTER = 4
 
 
 @dataclass(frozen=True)
@@ -167,36 +136,19 @@ class OverloadGuard:
     * file syscalls delayed or failed by admission control (an I/O
       flood at the in-flight budget).
 
-    An SPU whose pressure exceeds ``pressure_threshold`` is *hot*.
-    Staying hot for ``throttle_after`` consecutive checks halves its
-    admission limits (:meth:`Kernel.throttle_spu`); staying hot for
-    ``kill_after`` checks OOM-kills its largest process — inside the
-    offending SPU only — and the ladder re-arms, so a persistently
+    It checks every :data:`GUARD_PERIOD_TICKS` clock ticks.  An SPU
+    whose pressure reaches :data:`PRESSURE_THRESHOLD` is *hot*.
+    Staying hot for :data:`THROTTLE_AFTER` consecutive checks halves
+    its admission limits (:meth:`Kernel.throttle_spu`); staying hot for
+    :data:`KILL_AFTER` checks OOM-kills its largest process — inside
+    the offending SPU only — and the ladder re-arms, so a persistently
     abusive SPU is killed down until its pressure subsides.  An SPU
     that goes quiet is unthrottled and its ladder resets.  Every
     action is recorded in :attr:`escalations`.
     """
 
-    def __init__(
-        self,
-        kernel: Kernel,
-        period: Optional[int] = None,
-        pressure_threshold: int = 50,
-        throttle_after: int = 2,
-        kill_after: int = 5,
-    ):
-        if pressure_threshold <= 0:
-            raise ValueError("pressure threshold must be positive")
-        if not 0 < throttle_after < kill_after:
-            raise ValueError("need 0 < throttle_after < kill_after")
+    def __init__(self, kernel: Kernel):
         self.kernel = kernel
-        self.period = (
-            period if period is not None
-            else 10 * kernel.scheme.params.clock_tick
-        )
-        self.pressure_threshold = pressure_threshold
-        self.throttle_after = throttle_after
-        self.kill_after = kill_after
         self.escalations: List[Escalation] = []
         self.checks_run = 0
         #: Consecutive hot periods per SPU.
@@ -208,12 +160,10 @@ class OverloadGuard:
     def start(self) -> None:
         if self._timer is not None:
             raise RuntimeError("guard already started")
-        self._timer = self.kernel.engine.every(self.period, self.check)
-
-    def stop(self) -> None:
-        if self._timer is not None:
-            self._timer.stop()
-            self._timer = None
+        kernel = self.kernel
+        self._timer = kernel.engine.every(
+            GUARD_PERIOD_TICKS * kernel.scheme.params.clock_tick, self.check
+        )
 
     def _pressure_total(self, spu_id: int) -> int:
         kernel = self.kernel
@@ -234,7 +184,7 @@ class OverloadGuard:
             total = self._pressure_total(spu_id)
             delta = total - self._seen.get(spu_id, 0)
             self._seen[spu_id] = total
-            if delta < self.pressure_threshold:
+            if delta < PRESSURE_THRESHOLD:
                 if self._hot.get(spu_id):
                     self._hot[spu_id] = 0
                     if kernel.spu_throttled(spu_id):
@@ -242,14 +192,14 @@ class OverloadGuard:
                 continue
             hot = self._hot.get(spu_id, 0) + 1
             self._hot[spu_id] = hot
-            if hot == self.throttle_after:
+            if hot == THROTTLE_AFTER:
                 kernel.throttle_spu(spu_id)
                 self.escalations.append(Escalation(
                     now, spu_id, "throttle",
                     f"SPU {spu_id} hot for {hot} checks"
                     f" (pressure {delta}/check); admission limits halved",
                 ))
-            elif hot >= self.kill_after:
+            elif hot >= KILL_AFTER:
                 victim = kernel.oom_kill(spu_id)
                 detail = (
                     f"SPU {spu_id} still hot after throttling;"
@@ -260,4 +210,4 @@ class OverloadGuard:
                 self.escalations.append(Escalation(now, spu_id, "kill", detail))
                 # Re-arm one rung below the kill threshold: if the SPU
                 # stays abusive, another process goes next period.
-                self._hot[spu_id] = self.kill_after - 1
+                self._hot[spu_id] = KILL_AFTER - 1

@@ -98,6 +98,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         parser.error(f"--workers must be at least 2, got {args.workers}: with"
                      " fewer, the serial-vs-parallel check compares two"
                      " in-process runs")
+    if args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
+    if args.machines < 1:
+        parser.error(f"--machines must be >= 1, got {args.machines}")
+    if args.horizon < 1:
+        parser.error(f"--horizon must be >= 1, got {args.horizon}")
+    if not 0 <= args.crash_at <= args.horizon:
+        # A crash past the horizon never fires, and the smoke would pass
+        # without testing failover.
+        parser.error(f"--crash-at must be in [0, --horizon={args.horizon}],"
+                     f" got {args.crash_at}")
 
     spec = smoke_spec(
         scheme=args.scheme, seed=args.seed, machines=args.machines,

@@ -18,7 +18,6 @@ corpus stores seeds, not fleets.
 from __future__ import annotations
 
 import hashlib
-import os
 import random
 from typing import Any, Dict, Optional
 
@@ -35,6 +34,7 @@ from repro.fleet.spec import (
     FleetSpec,
     FleetSpuSpec,
 )
+from repro.sanitizer import switched
 from repro.sim.units import MSEC
 
 #: Fleet shapes the generator draws from.
@@ -149,25 +149,13 @@ def run_fleet_fuzz_record(
     Matches the single-machine record schema (seed, fingerprint,
     verdict, violations, checkpoints, events, digest) so corpus
     resume, repair and reporting treat both dimensions identically;
-    ``checkpoints`` counts the fleet's durable rounds.  ``simsan`` is
-    forced via the same environment switch the kernel reads at boot —
-    every machine in the fleet boots inside the override.
+    ``checkpoints`` counts the fleet's durable rounds.  ``simsan``
+    forces SIMSAN on or off for every machine the fleet boots, lazily
+    built ones included (:func:`repro.sanitizer.switched`).
     """
     spec = generate_fleet_scenario(seed, horizon_us=horizon_us)
-    # The kernel consults REPRO_SIMSAN at boot; flipping it around the
-    # run is the one seam that reaches every lazily-built machine.
-    env_before = os.environ.get("REPRO_SIMSAN")  # simlint: disable=SL104
-    try:
-        if simsan is True:
-            os.environ["REPRO_SIMSAN"] = "1"  # simlint: disable=SL104
-        elif simsan is False:
-            os.environ.pop("REPRO_SIMSAN", None)  # simlint: disable=SL104
+    with switched(simsan):
         record = run_fleet_record(spec)
-    finally:
-        if env_before is None:
-            os.environ.pop("REPRO_SIMSAN", None)  # simlint: disable=SL104
-        else:
-            os.environ["REPRO_SIMSAN"] = env_before  # simlint: disable=SL104
     return {
         "seed": seed,
         "fingerprint": fleet_fingerprint(spec),

@@ -9,12 +9,13 @@ shrunken scenarios stay runnable), and judges the run with four oracle
 families:
 
 * **conservation laws** — the :class:`~repro.faults.InvariantWatchdog`
-  re-derives pages/CPU/levels/starvation/dead-drive invariants every
+  records breaches of ledger sanity, page and CPU conservation
+  (:mod:`repro.faults.laws`), starvation and dead-drive quiet every
   tick;
 * **SIMSAN** — with ``simsan=True`` (or ``REPRO_SIMSAN=1``) the runtime
-  sanitizer re-checks the books at event granularity; its raise is
-  caught and recorded as a ``simsan`` violation so campaigns keep
-  going;
+  sanitizer re-checks the same laws, and its own, after every event;
+  its raise is caught and recorded as a ``simsan`` violation so
+  campaigns keep going;
 * **victim progress** — the victim's jobs checkpoint after every short
   compute burst, and no window may pass without a checkpoint.  This is
   the paper's isolation claim as a lower bound.  A fuzz scenario's
@@ -49,7 +50,7 @@ from repro.fuzz.scenario import ScenarioSpec, WorkloadSpec
 from repro.kernel.kernel import Kernel
 from repro.kernel.locks import KernelLock
 from repro.kernel.syscalls import Acquire, Behavior, Checkpoint, Compute, Release, SetWorkingSet
-from repro.sanitizer import SanitizerError, SimSanitizer, check_stride
+from repro.sanitizer import SanitizerError, switched
 from repro.sim.units import KB, MSEC
 from repro.workloads import (
     CopyParams,
@@ -248,28 +249,21 @@ def run_scenario(
 
     ``simsan=None`` defers to the ``REPRO_SIMSAN`` environment (the
     kernel installs the sanitizer at boot); ``True``/``False`` force it
-    on/off for this run regardless of the environment.
+    on/off for this run's kernel (:func:`repro.sanitizer.switched`).
     """
     # The one sanctioned env read in the simulated world: the planted
     # bug exists to prove the fuzzer catches real invariant breaks.
     plant = os.environ.get(ENV_PLANT, "").strip()  # simlint: disable=SL104
-    sim = build(scenario.simulation_spec())
+    with switched(simsan):
+        sim = build(scenario.simulation_spec())
     kernel = sim.kernel
-    if simsan is True and kernel.sanitizer is None:
-        kernel.sanitizer = SimSanitizer(kernel, every=check_stride())
-        kernel.sanitizer.install()
-    elif simsan is False and kernel.sanitizer is not None:
-        kernel.sanitizer.uninstall()
-        kernel.sanitizer = None
 
     victim = sim.spu("victim")
     attacker = sim.spu("attacker")
     lock = KernelLock("inode", reader_writer=True, inheritance=True)
     watchdog = InvariantWatchdog(kernel)
     watchdog.start()
-    guard = OverloadGuard(
-        kernel, pressure_threshold=40, throttle_after=2, kill_after=4
-    )
+    guard = OverloadGuard(kernel)
     guard.start()
     injector = FaultInjector(kernel, scenario.faults, on_error="skip")
     injector.arm()

@@ -534,8 +534,9 @@ class Kernel:  # simlint: disable=SL401
         """Run the simulation (to quiescence, or to ``until``)."""
         executed = self.engine.run(until=until, max_events=max_events)
         if self.sanitizer is not None:
-            # One last full pass: with a check stride > 1 the final
-            # events of the run may otherwise go unchecked.
+            # One last full pass: the hook checks after events only, so
+            # this covers state changed outside any event (before a run
+            # that executes none, or by the caller between runs).
             self.sanitizer.check()
         return executed
 

@@ -14,12 +14,12 @@ only test end-to-end:
   and allocation-free dispatch loops.
 
 Entry points: :func:`repro.lint.framework.run_lint` (library),
-``python -m repro lint`` (CLI).  Intentional exceptions live in the
-checked-in ``lint-baseline.json`` with justifications.  The runtime
-companion is :mod:`repro.sanitizer` (SIMSAN).
+``python -m repro lint`` (CLI).  An intentional exception is excused
+at its site with an inline ``# simlint: disable=`` comment carrying
+its justification.  The runtime companion is :mod:`repro.sanitizer`
+(SIMSAN).
 """
 
-from repro.lint.baseline import Baseline, BaselineEntry, load as load_baseline
 from repro.lint.finding import Finding, Rule
 from repro.lint.framework import (
     Checker,
@@ -33,8 +33,6 @@ from repro.lint.framework import (
 )
 
 __all__ = [
-    "Baseline",
-    "BaselineEntry",
     "Checker",
     "FileContext",
     "Finding",
@@ -43,7 +41,6 @@ __all__ = [
     "Rule",
     "SIM_SCOPE",
     "all_rules",
-    "load_baseline",
     "register",
     "run_lint",
 ]

@@ -1,13 +1,13 @@
 """``python -m repro lint`` — the simlint command line.
 
-Exit status is 0 when every finding is covered by the baseline (or
-there are none), 1 when new findings exist, 2 for usage errors.
+Exit status is 0 when there are no findings, 1 when there are any, 2
+for usage errors.  An intentional exception is excused at its site
+with an inline ``# simlint: disable=`` comment and its justification.
 
 Typical invocations::
 
-    python -m repro lint                          # src/repro vs lint-baseline.json
+    python -m repro lint                          # src/repro
     python -m repro lint --format sarif -o out.sarif
-    python -m repro lint --write-baseline         # refresh the baseline
     python -m repro lint --list-rules
 """
 
@@ -18,11 +18,8 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.lint import baseline as baseline_mod
 from repro.lint.framework import LintError, all_rules, run_lint
 from repro.lint.output import render_json, render_sarif, render_text
-
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def _default_paths() -> List[str]:
@@ -54,18 +51,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "-o", "--output", default=None,
         help="write the report to a file instead of stdout",
-    )
-    parser.add_argument(
-        "--baseline", default=None,
-        help=f"baseline file (default: {DEFAULT_BASELINE} when present)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore any baseline file; report every finding as new",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0",
     )
     parser.add_argument(
         "--rules", default=None,
@@ -167,52 +152,19 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    baseline_path = args.baseline or DEFAULT_BASELINE
-    baseline = None
-    if not args.no_baseline and not args.write_baseline:
-        if args.baseline is not None or os.path.exists(baseline_path):
-            try:
-                baseline = baseline_mod.load(baseline_path)
-            except baseline_mod.BaselineError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
-
-    if args.write_baseline:
-        previous = None
-        if os.path.exists(baseline_path):
-            try:
-                previous = baseline_mod.load(baseline_path)
-            except baseline_mod.BaselineError:
-                previous = None
-        baseline_mod.save(
-            baseline_path, baseline_mod.from_findings(findings, previous)
-        )
-        print(f"wrote {len(findings)} entr(ies) to {baseline_path}")
-        return 0
-
-    if baseline is not None:
-        new, baselined, stale = baseline.diff(findings)
-    else:
-        new, baselined, stale = list(findings), [], []
-
     if args.format == "text":
-        report = render_text(new, baselined)
-        if stale:
-            report += (
-                f"\n{len(stale)} stale baseline entr(ies) no longer match;"
-                f" refresh with --write-baseline"
-            )
+        report = render_text(findings)
     elif args.format == "json":
-        report = render_json(new, baselined)
+        report = render_json(findings)
     else:
-        report = render_sarif(new, all_rules())
+        report = render_sarif(findings, all_rules())
 
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(report + "\n")
     else:
         print(report)
-    return 1 if new else 0
+    return 1 if findings else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

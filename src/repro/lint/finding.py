@@ -1,9 +1,10 @@
 """The unit of lint output: one finding at one source location.
 
-Findings are matched against the checked-in baseline by *fingerprint*
-— a hash of the rule, the repo-relative path, and the normalized text
-of the offending line — so edits elsewhere in a file (which shift line
-numbers) do not invalidate baseline entries.
+Each finding carries a *fingerprint* — a hash of the rule, the
+repo-relative path, and the normalized text of the offending line — so
+edits elsewhere in a file (which shift line numbers) keep its identity.
+SARIF's ``partialFingerprints`` reports it, so code-scanning consumers
+track a finding across commits.
 """
 
 from __future__ import annotations

@@ -14,9 +14,9 @@ Suppressions:
 * ``# simlint: skip-file`` anywhere in the first ten lines skips the
   whole file.
 
-Intentional, long-lived exceptions belong in the checked-in baseline
-(:mod:`repro.lint.baseline`) with a justification, not in suppression
-comments.
+An intentional exception is excused inline, with the disable comment
+at the site and its justification in the comment around it, where it
+survives refactors and shows in review.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ HOT_MODULES: Tuple[str, ...] = (
 
 
 class LintError(RuntimeError):
-    """Raised for unusable inputs (bad path, unparsable baseline)."""
+    """Raised for unusable inputs (a bad path)."""
 
 
 class FileContext:
@@ -61,7 +61,7 @@ class FileContext:
 
     def __init__(self, path: str, display_path: str, source: str):
         self.path = path
-        #: Repo-relative, forward-slash path used in findings/baseline.
+        #: Repo-relative, forward-slash path used in findings.
         self.display_path = display_path
         self.source = source
         self.lines = source.splitlines()
@@ -265,7 +265,7 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[str]:
 
 
 def display_path(path: str, root: Optional[str] = None) -> str:
-    """Repo-relative forward-slash path for findings and baselines."""
+    """Repo-relative forward-slash path for findings."""
     root = root if root is not None else os.getcwd()
     try:
         relative = os.path.relpath(os.path.abspath(path), root)
@@ -284,8 +284,8 @@ def run_lint(
 ) -> List[Finding]:
     """Run every registered checker over ``paths``.
 
-    Findings come back sorted by (path, line, col, rule) so output and
-    baselines are stable.  ``rules`` optionally restricts to a subset
+    Findings come back sorted by (path, line, col, rule) so output is
+    stable.  ``rules`` optionally restricts to a subset
     of rule codes.  ``effects=True`` additionally builds the
     interprocedural effect analysis over every parsed file, derives
     the SL4xx hot-module list from ``Engine.run`` reachability, and

@@ -21,40 +21,29 @@ SARIF_SCHEMA = (
 _SARIF_LEVEL = {"warning": "warning", "error": "error"}
 
 
-def render_text(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-) -> str:
+def render_text(findings: Sequence[Finding]) -> str:
     lines = [f.render() for f in findings]
-    summary = f"{len(findings)} finding(s)"
-    if baselined:
-        summary += f", {len(baselined)} baselined"
-    lines.append(summary)
+    lines.append(f"{len(findings)} finding(s)")
     return "\n".join(lines)
 
 
-def render_json(
-    findings: Sequence[Finding],
-    baselined: Sequence[Finding] = (),
-) -> str:
-    def encode(finding: Finding, suppressed: bool) -> Dict[str, object]:
-        return {
-            "rule": finding.rule,
-            "path": finding.path,
-            "line": finding.line,
-            "col": finding.col,
-            "severity": finding.severity,
-            "message": finding.message,
-            "snippet": finding.snippet,
-            "fingerprint": finding.fingerprint,
-            "baselined": suppressed,
-        }
-
+def render_json(findings: Sequence[Finding]) -> str:
     payload = {
         "tool": "simlint",
-        "findings": [encode(f, False) for f in findings]
-        + [encode(f, True) for f in baselined],
-        "summary": {"new": len(findings), "baselined": len(baselined)},
+        "findings": [
+            {
+                "rule": finding.rule,
+                "path": finding.path,
+                "line": finding.line,
+                "col": finding.col,
+                "severity": finding.severity,
+                "message": finding.message,
+                "snippet": finding.snippet,
+                "fingerprint": finding.fingerprint,
+            }
+            for finding in findings
+        ],
+        "summary": {"new": len(findings)},
     }
     return json.dumps(payload, indent=2)
 

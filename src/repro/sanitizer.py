@@ -4,20 +4,15 @@
 The static linter (:mod:`repro.lint`) proves the *code* follows the
 determinism and accounting rules; SIMSAN checks that the *numbers* do,
 while a simulation runs.  It hooks the engine's dispatch loop and
-re-derives the kernel's conservation laws after events:
+re-derives the kernel's conservation laws after every event:
 
-* **monotonic virtual time** — the clock never moves backwards (checked
-  after *every* event, regardless of stride);
-* **ledger sanity** — every SPU's (entitled, allowed, used) triple
-  satisfies ``0 <= entitled <= allowed`` and ``0 <= used <= allowed``
-  for every resource;
-* **page conservation** — pages charged to SPUs plus the free list
-  equals the machine total;
-* **CPU conservation** — per-CPU busy time and per-SPU charged time are
-  two views of the same microseconds, so their sums must agree, and
-  neither may exceed the capacity the online CPUs actually offered;
+* **monotonic virtual time** — the clock never moves backwards;
+* **ledger sanity**, **page conservation** and **CPU conservation** —
+  the laws it shares with the invariant watchdog, stated once in
+  :mod:`repro.faults.laws`;
 * **disk-bandwidth conservation** — per drive, the sectors charged to
-  SPU ledgers equal the sectors moved by successful completions;
+  SPU ledgers equal the sectors moved by successful completions, and
+  no charge is negative;
 * **cache index** — the buffer cache's per-SPU LRU dicts and its dirty
   index agree with its blocks;
 * **link index** — every network link's per-SPU FIFOs hold only their
@@ -29,19 +24,17 @@ re-derives the kernel's conservation laws after events:
   pass (no denials pending, no page count moved since its last full
   pass), every active user SPU's memory ``entitled`` is already the
   contract's share of the user pool and its ``allowed`` is already
-  ``max(entitled, used)``: the skipped pass had nothing to change;
-* **no negative counters** anywhere in the above.
+  ``max(entitled, used)``: the skipped pass had nothing to change.
 
 This complements the periodic :class:`repro.faults.invariants.InvariantWatchdog`:
-the watchdog samples every clock tick and *records* violations; SIMSAN
-checks at event granularity and *raises* at the first corrupt event, so
-the failing event is still on the stack.
+the watchdog checks the shared laws every clock tick and *records*
+violations; SIMSAN checks at event granularity and *raises* at the
+first corrupt event, so the failing event is still on the stack.
 
 Enable it with ``REPRO_SIMSAN=1`` (any of ``1/true/yes/on``); the
-kernel installs it at :meth:`~repro.kernel.kernel.Kernel.boot`.
-``REPRO_SIMSAN_EVERY=N`` runs the full suite every N events instead of
-every event (the time check always runs), which keeps the chaos soak
-affordable on big runs.  Tests and tools can also install it directly::
+kernel installs it at :meth:`~repro.kernel.kernel.Kernel.boot`.  Code
+that must force it on or off for the kernels it boots wraps them in
+:func:`switched`.  Tests can also install it directly::
 
     from repro.sanitizer import SimSanitizer
     san = SimSanitizer(kernel)
@@ -51,17 +44,17 @@ affordable on big runs.  Tests and tools can also install it directly::
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Optional
+from contextlib import contextmanager
+from typing import TYPE_CHECKING, Iterator, Optional
 
 from repro.disk.drive import SpuBandwidthLedger
+from repro.faults.laws import breaches
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (kernel imports us)
     from repro.kernel.kernel import Kernel
 
 #: Environment switch; truthy values enable the sanitizer at boot.
 ENV_ENABLE = "REPRO_SIMSAN"
-#: Full-suite stride (default 1 = every event).
-ENV_EVERY = "REPRO_SIMSAN_EVERY"
 
 _TRUTHY = ("1", "true", "yes", "on")
 
@@ -76,28 +69,21 @@ class SimSanitizer:
     One instance watches one kernel.  :meth:`install` hooks the
     engine's post-event callback; :meth:`check` is also callable
     directly (the kernel runs it once more when :meth:`Kernel.run`
-    returns, so a violation in the final events cannot slip out).
+    returns, so state changed outside any event is checked too).
     """
 
-    __slots__ = ("kernel", "every", "checks_run", "events_seen", "_countdown", "_last_now")
+    __slots__ = ("kernel", "checks_run", "events_seen", "_last_now")
 
-    def __init__(self, kernel: "Kernel", every: int = 1):
-        if every < 1:
-            raise ValueError(f"check stride must be >= 1, got {every}")
+    def __init__(self, kernel: "Kernel"):
         self.kernel = kernel
-        self.every = every
         self.checks_run = 0
         self.events_seen = 0
-        self._countdown = every
         self._last_now = kernel.engine.now
 
     # --- lifecycle ---------------------------------------------------------
 
     def install(self) -> None:
         self.kernel.engine.set_sanitizer(self._after_event)
-
-    def uninstall(self) -> None:
-        self.kernel.engine.set_sanitizer(None)
 
     # --- the hook ----------------------------------------------------------
 
@@ -110,10 +96,7 @@ class SimSanitizer:
                 f"clock moved backwards: {self._last_now}us -> {now}us",
             )
         self._last_now = now
-        self._countdown -= 1
-        if self._countdown <= 0:
-            self._countdown = self.every
-            self.check()
+        self.check()
 
     # --- the laws ----------------------------------------------------------
 
@@ -121,61 +104,11 @@ class SimSanitizer:
         """Run the full invariant suite once, raising on the first breach."""
         self.checks_run += 1
         kernel = self.kernel
-        now = kernel.engine.now
 
-        # Ledger sanity: the three-level model, re-derived from state
-        # rather than trusted to the mutation-time checks.
-        for spu in kernel.registry.all_spus():
-            for resource, levels in spu.levels.items():
-                if not 0 <= levels.entitled <= levels.allowed:
-                    self._fail(
-                        "ledger-sanity",
-                        f"SPU {spu.spu_id} {resource.name}: entitled"
-                        f" {levels.entitled} outside [0, allowed={levels.allowed}]",
-                    )
-                if not 0 <= levels.used <= levels.allowed:
-                    self._fail(
-                        "ledger-sanity",
-                        f"SPU {spu.spu_id} {resource.name}: used"
-                        f" {levels.used} outside [0, allowed={levels.allowed}]",
-                    )
-
-        # Page conservation.
-        charged = sum(s.memory().used for s in kernel.registry.all_spus())
-        free = kernel.memory.free_pages
-        total = kernel.memory.total_pages
-        if free < 0:
-            self._fail("page-conservation", f"free list is negative ({free})")
-        if charged + free != total:
-            self._fail(
-                "page-conservation",
-                f"{charged} charged + {free} free != {total} total pages",
-            )
-
-        # CPU conservation: busy-per-CPU and charged-per-SPU are the
-        # same microseconds, booked twice in _charge_slice.
-        busy = 0
-        for cpu_id, us in kernel.cpu_busy_us.items():
-            if us < 0:
-                self._fail("cpu-conservation", f"cpu {cpu_id} busy {us}us < 0")
-            busy += us
-        account = kernel.cpu_account.as_dict()
-        charged_us = 0
-        for spu_id, us in account.items():
-            if us < 0:
-                self._fail("cpu-conservation", f"SPU {spu_id} charged {us}us < 0")
-            charged_us += us
-        if busy != charged_us:
-            self._fail(
-                "cpu-conservation",
-                f"per-CPU busy {busy}us != per-SPU charged {charged_us}us",
-            )
-        capacity = kernel.cpu_capacity_us(now)
-        if busy > capacity:
-            self._fail(
-                "cpu-conservation",
-                f"busy {busy}us exceeds offered capacity {capacity}us",
-            )
+        # Ledger sanity, page and CPU conservation: the laws the
+        # watchdog shares (repro.faults.laws).
+        for law, detail in breaches(kernel):
+            self._fail(law, detail)
 
         # Disk-bandwidth conservation, per drive with a real ledger.
         for drive in kernel.drives:
@@ -252,21 +185,36 @@ def enabled() -> bool:
     return os.environ.get(ENV_ENABLE, "").strip().lower() in _TRUTHY
 
 
-def check_stride() -> int:
-    """The configured full-suite stride (``REPRO_SIMSAN_EVERY``, >= 1)."""
-    raw = os.environ.get(ENV_EVERY, "").strip()
-    if not raw:
-        return 1
+@contextmanager
+def switched(on: Optional[bool]) -> Iterator[None]:
+    """Force SIMSAN on (True) or off (False) for kernels booted in the block.
+
+    ``None`` leaves the choice to the environment.  The switch is the
+    ``REPRO_SIMSAN`` variable the kernel reads at boot, so it reaches
+    every kernel built inside the block, including a fleet's lazily
+    built machines; the variable's previous value comes back on exit.
+    """
+    if on is None:
+        yield
+        return
+    before = os.environ.get(ENV_ENABLE)
+    if on:
+        os.environ[ENV_ENABLE] = "1"
+    else:
+        os.environ.pop(ENV_ENABLE, None)
     try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ValueError(f"{ENV_EVERY} must be an integer, got {raw!r}") from None
+        yield
+    finally:
+        if before is None:
+            os.environ.pop(ENV_ENABLE, None)
+        else:
+            os.environ[ENV_ENABLE] = before
 
 
 def maybe_install(kernel: "Kernel") -> Optional[SimSanitizer]:
     """Install a sanitizer on ``kernel`` if the environment asks for one."""
     if not enabled():
         return None
-    sanitizer = SimSanitizer(kernel, every=check_stride())
+    sanitizer = SimSanitizer(kernel)
     sanitizer.install()
     return sanitizer

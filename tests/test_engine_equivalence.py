@@ -2,8 +2,10 @@
 
 Idle fast-forward is a pure performance feature — every experiment
 must produce *byte-identical* results with it on or off.  These tests
-run real experiments both ways and compare canonical JSON, plus
-engine-level ordering regressions for the packed event heap.
+run real experiments both ways and compare canonical JSON, run
+perfbench's mostly idle ``tick_idle`` machine both ways and compare
+its records and event count, and add engine-level ordering regressions
+for the packed event heap.
 
 The golden gate (``tests/test_golden_outputs.py``) and the corpus pins
 (``tests/test_golden_corpus.py``) are the whole-run proof of queue
@@ -11,15 +13,29 @@ order: they pin every experiment, fuzz, fleet-fuzz and chaos run
 byte for byte.
 """
 
+import json
+
 import pytest
 
 import repro.sim.engine as engine_mod
-from repro.api import ExperimentSpec, run_experiment
+from repro.api import (
+    ExperimentSpec,
+    SimulationSpec,
+    SpuSpec,
+    build,
+    piso_scheme,
+    run_experiment,
+)
+from repro.metrics import to_records
 from repro.sim.engine import Engine
+from repro.workloads import InteractiveParams, interactive_user
 
 #: Experiments exercising CPU, memory, disk, and network subsystems.
 SECTIONS = ("fig5", "table4", "network")
 SEEDS = (0, 1)
+#: Bursts per user on the tick_idle machine: enough for the run to
+#: spend most of its time in ticks that fast-forward elides.
+TICK_IDLE_BURSTS = 300
 
 
 def _canonical(section: str, seed: int) -> str:
@@ -46,6 +62,35 @@ def test_experiments_byte_identical_without_fast_forward(
     got = _canonical(section, seed)
     assert got == reference[(section, seed)], (
         f"{section} seed {seed} diverged without fast-forward"
+    )
+
+
+def _tick_idle(seed: int):
+    """perfbench's ``tick_idle`` machine: four interactive users under
+    PIso on 4 CPUs and 32 MB.  Returns its records and event count."""
+    sim = build(SimulationSpec(
+        ncpus=4,
+        memory_mb=32,
+        scheme=piso_scheme(),
+        spus=[SpuSpec(f"user{i + 1}") for i in range(4)],
+        disks=1,
+        seed=seed,
+    ))
+    params = InteractiveParams(bursts=TICK_IDLE_BURSTS, think_ms=200.0,
+                               burst_ms=0.5)
+    for i, spu in enumerate(sim.spus):
+        sim.spawn(interactive_user(params), spu, name=f"int{i}")
+    events = sim.run()
+    return json.dumps(to_records(sim.results()), sort_keys=True), events
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_tick_idle_identical_without_fast_forward(seed, monkeypatch):
+    assert engine_mod.DEFAULT_FAST_FORWARD
+    fast = _tick_idle(seed)
+    monkeypatch.setattr(engine_mod, "DEFAULT_FAST_FORWARD", False)
+    assert _tick_idle(seed) == fast, (
+        f"tick_idle seed {seed} diverged without fast-forward"
     )
 
 

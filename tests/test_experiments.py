@@ -182,3 +182,17 @@ class TestConfigTables:
     def test_table2_schemes(self):
         names = [spec.factory().name for spec in TABLE2]
         assert names == ["Quo", "PIso", "SMP"]
+
+
+class TestRunnerCli:
+    @pytest.mark.parametrize("argv", [
+        ["experiments", "--seed", "-1", "fig5"],
+        ["fig5", "--seed", "-1"],  # a bare section name means experiments
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, capsys):
+        from repro.__main__ import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "--seed must be >= 0, got -1" in capsys.readouterr().err

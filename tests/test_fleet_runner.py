@@ -263,6 +263,22 @@ class TestDeterminism:
         assert "--workers must be at least 2" in err
         assert "in-process" in err
 
+    @pytest.mark.parametrize("argv, flag", [
+        (["--seed", "-1"], "--seed"),
+        (["--machines", "0"], "--machines"),
+        (["--horizon", "0"], "--horizon"),
+        (["--crash-at", "-5"], "--crash-at"),
+        # Past the default 600 ms horizon: the crash would never fire.
+        (["--crash-at", "700000"], "--crash-at"),
+    ])
+    def test_bad_numbers_are_usage_errors(self, argv, flag, capsys):
+        import repro.fleet.__main__ as fleet_main
+
+        with pytest.raises(SystemExit) as exc:
+            fleet_main.main(argv)
+        assert exc.value.code == 2
+        assert f"{flag} must be" in capsys.readouterr().err
+
     def test_seed_changes_the_journal(self):
         spec_a = two_machine_fleet(seed=0)
         spec_b = two_machine_fleet(seed=1)

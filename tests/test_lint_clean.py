@@ -1,16 +1,15 @@
-"""The tree itself must lint clean — with an *empty* baseline.
+"""The tree itself must lint clean.
 
 This is the repo-level guarantee behind ``python -m repro lint``: every
 finding on ``src/repro`` is either fixed or suppressed at the site with
 an inline ``# simlint: disable=`` carrying a written justification.
-The baseline file exists only as a migration vehicle for future rule
-rollouts; keeping it empty here means a regression cannot hide behind
-a stale grandfathered entry.
+There is no baseline file to grandfather a finding in, so a regression
+fails here at once.
 """
 
 from pathlib import Path
 
-from repro.lint import load_baseline, run_lint
+from repro.lint import run_lint
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,11 +30,3 @@ def test_src_repro_is_clean_with_effects():
         + "\n".join(f.render() for f in findings)
     )
 
-
-def test_baseline_is_empty():
-    baseline = load_baseline(str(ROOT / "lint-baseline.json"))
-    assert not baseline.entries, (
-        "the baseline must stay empty; suppress at the site with an"
-        " inline justification instead: "
-        + ", ".join(f"{e.rule} {e.path}" for e in baseline.entries)
-    )

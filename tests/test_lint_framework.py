@@ -1,12 +1,10 @@
 """Framework-level tests for simlint: suppressions, fingerprints,
-baseline round-trips, output schemas, and the CLI contract."""
+output schemas, and the CLI contract."""
 
 import json
 from pathlib import Path
 
-from repro.lint import all_rules, load_baseline, run_lint
-from repro.lint import baseline as baseline_mod
-from repro.lint.baseline import Baseline, BaselineEntry, from_findings
+from repro.lint import all_rules, run_lint
 from repro.lint.cli import main as lint_main
 from repro.lint.output import render_json, render_sarif, render_text
 
@@ -80,63 +78,6 @@ class TestFingerprints:
         assert after.fingerprint != before.fingerprint
 
 
-class TestBaseline:
-    def findings(self, tmp_path):
-        write_module(tmp_path, "repro/sim/clocks.py", BAD_SOURCE)
-        return lint_tree(tmp_path)
-
-    def test_round_trip_preserves_entries(self, tmp_path):
-        findings = self.findings(tmp_path)
-        baseline = from_findings(findings)
-        blpath = tmp_path / "baseline.json"
-        baseline_mod.save(str(blpath), baseline)
-        loaded = load_baseline(str(blpath))
-        assert loaded.entries == baseline.entries
-
-    def test_diff_splits_new_baselined_stale(self, tmp_path):
-        findings = self.findings(tmp_path)
-        stale_entry = BaselineEntry(
-            rule="SL101", path="repro/sim/gone.py", fingerprint="deadbeef",
-            line=1, snippet="time.time()",
-        )
-        baseline = Baseline(entries=list(from_findings(findings).entries) + [stale_entry])
-        new, baselined, stale = baseline.diff(findings)
-        assert new == []
-        assert baselined == findings
-        assert stale == [stale_entry]
-
-    def test_duplicate_findings_consume_entry_budget(self, tmp_path):
-        # Two identical lines produce two findings with one fingerprint;
-        # a single baseline entry must cover only one of them.
-        write_module(
-            tmp_path,
-            "repro/sim/clocks.py",
-            'import os\nos.getenv("X")\nos.getenv("X")\n',
-        )
-        findings = lint_tree(tmp_path)
-        assert len(findings) == 2
-        assert findings[0].fingerprint == findings[1].fingerprint
-        baseline = from_findings(findings[:1])
-        new, baselined, _ = baseline.diff(findings)
-        assert len(baselined) == 1 and len(new) == 1
-
-    def test_rewrite_preserves_justifications(self, tmp_path):
-        findings = self.findings(tmp_path)
-        previous = from_findings(findings)
-        entry = previous.entries[0]
-        justified = Baseline(
-            entries=[
-                BaselineEntry(
-                    rule=entry.rule, path=entry.path,
-                    fingerprint=entry.fingerprint, line=entry.line,
-                    snippet=entry.snippet, justification="env read is host-side",
-                )
-            ]
-        )
-        refreshed = from_findings(findings, justified)
-        assert refreshed.entries[0].justification == "env read is host-side"
-
-
 class TestOutputSchemas:
     def findings(self, tmp_path):
         write_module(tmp_path, "repro/sim/clocks.py", BAD_SOURCE)
@@ -144,22 +85,19 @@ class TestOutputSchemas:
 
     def test_text_summary_counts(self, tmp_path):
         findings = self.findings(tmp_path)
-        report = render_text([], findings)
-        assert report.endswith("0 finding(s), 1 baselined")
         report = render_text(findings)
         assert "SL104" in report and report.endswith("1 finding(s)")
 
     def test_json_schema(self, tmp_path):
         findings = self.findings(tmp_path)
-        payload = json.loads(render_json(findings, findings))
+        payload = json.loads(render_json(findings))
         assert payload["tool"] == "simlint"
-        assert payload["summary"] == {"new": 1, "baselined": 1}
+        assert payload["summary"] == {"new": 1}
         for record in payload["findings"]:
             assert set(record) == {
                 "rule", "path", "line", "col", "severity", "message",
-                "snippet", "fingerprint", "baselined",
+                "snippet", "fingerprint",
             }
-        assert [r["baselined"] for r in payload["findings"]] == [False, True]
 
     def test_sarif_schema(self, tmp_path):
         findings = self.findings(tmp_path)
@@ -180,38 +118,26 @@ class TestOutputSchemas:
 
 
 class TestCli:
-    def test_exit_codes_and_baseline_lifecycle(self, tmp_path, capsys):
+    def test_exit_codes(self, tmp_path, capsys):
         target = str(write_module(tmp_path, "repro/sim/clocks.py", BAD_SOURCE))
-        blpath = str(tmp_path / "baseline.json")
 
-        # New finding, no baseline: exit 1.
-        assert lint_main([target, "--no-baseline"]) == 1
+        # A finding: exit 1.
+        assert lint_main([target]) == 1
         assert "SL104" in capsys.readouterr().out
 
-        # Write the baseline: exit 0, file created.
-        assert lint_main([target, "--baseline", blpath, "--write-baseline"]) == 0
-        capsys.readouterr()
-        assert Path(blpath).exists()
-
-        # Baselined run: exit 0, finding suppressed.
-        assert lint_main([target, "--baseline", blpath]) == 0
-        assert "1 baselined" in capsys.readouterr().out
-
-        # A second violation is new on top of the baseline: exit 1.
-        Path(target).write_text(BAD_SOURCE + 'OTHER = os.getenv("OTHER")\n')
-        assert lint_main([target, "--baseline", blpath]) == 1
-        assert "1 finding(s), 1 baselined" in capsys.readouterr().out
-
-        # Fix everything: the surviving entry goes stale, still exit 0.
-        Path(target).write_text("import os  # simlint: disable=SL000\n")
-        assert lint_main([target, "--baseline", blpath]) == 0
-        assert "stale" in capsys.readouterr().out
+        # Excused inline at the site, the one way to excuse it: exit 0.
+        Path(target).write_text(
+            'import os\n\nMODE = os.getenv("REPRO_MODE")'
+            "  # simlint: disable=SL104\n"
+        )
+        assert lint_main([target]) == 0
+        assert capsys.readouterr().out.strip() == "0 finding(s)"
 
     def test_json_report_written_to_file(self, tmp_path, capsys):
         target = str(write_module(tmp_path, "repro/sim/clocks.py", BAD_SOURCE))
         out = tmp_path / "report.json"
         assert lint_main(
-            [target, "--no-baseline", "--format", "json", "-o", str(out)]
+            [target, "--format", "json", "-o", str(out)]
         ) == 1
         capsys.readouterr()
         payload = json.loads(out.read_text())
@@ -221,7 +147,7 @@ class TestCli:
         target = str(write_module(tmp_path, "repro/sim/clocks.py", BAD_SOURCE))
         out = tmp_path / "report.sarif"
         assert lint_main(
-            [target, "--no-baseline", "--format", "sarif", "-o", str(out)]
+            [target, "--format", "sarif", "-o", str(out)]
         ) == 1
         capsys.readouterr()
         sarif = json.loads(out.read_text())
@@ -235,7 +161,7 @@ class TestCli:
                 "import time\n\nNOW = time.time()\n" + 'import os\nM = os.getenv("X")\n',
             )
         )
-        assert lint_main([target, "--no-baseline", "--rules", "SL101"]) == 1
+        assert lint_main([target, "--rules", "SL101"]) == 1
         out = capsys.readouterr().out
         assert "SL101" in out and "SL104" not in out
 

@@ -1,6 +1,11 @@
 """SIMSAN tests: env gating, corruption detection, and the guarantee
-that enabling the sanitizer never changes simulated behaviour."""
+that enabling the sanitizer never changes simulated behaviour.
 
+The ledger, page and CPU cases break a law that SIMSAN shares with the
+invariant watchdog (:mod:`repro.faults.laws`), so each also checks that
+the watchdog records the breach under the same name."""
+
+import os
 from dataclasses import replace
 
 import pytest
@@ -9,16 +14,16 @@ from repro.chaos import generate_plan
 from repro.core import piso_scheme
 from repro.disk.drive import SpuBandwidthLedger
 from repro.disk.model import fast_disk
+from repro.faults import InvariantWatchdog
 from repro.fuzz.runner import run_scenario
 from repro.kernel import Compute, DiskSpec, Kernel, MachineConfig, NicSpec, WriteFile
 from repro.net import MTU_BYTES
 from repro.sanitizer import (
     ENV_ENABLE,
-    ENV_EVERY,
     SanitizerError,
     SimSanitizer,
-    check_stride,
     enabled,
+    switched,
 )
 from repro.sim.units import KB, MSEC, msecs
 
@@ -68,29 +73,30 @@ class TestEnvGating:
         assert enabled()
         kernel, _ = booted()
         assert isinstance(kernel.sanitizer, SimSanitizer)
-        assert kernel.sanitizer.every == 1
 
     @pytest.mark.parametrize("value", ["0", "", "no", "off"])
     def test_falsy_values_leave_it_off(self, monkeypatch, value):
         monkeypatch.setenv(ENV_ENABLE, value)
         assert not enabled()
 
-    def test_stride_env(self, monkeypatch):
-        monkeypatch.setenv(ENV_ENABLE, "1")
-        monkeypatch.setenv(ENV_EVERY, "5")
-        assert check_stride() == 5
-        kernel, _ = booted()
-        assert kernel.sanitizer.every == 5
-
-    def test_bad_stride_rejected(self, monkeypatch):
-        monkeypatch.setenv(ENV_EVERY, "soon")
-        with pytest.raises(ValueError):
-            check_stride()
-
-    def test_zero_stride_rejected(self):
-        kernel, _ = booted()
-        with pytest.raises(ValueError):
-            SimSanitizer(kernel, every=0)
+    @pytest.mark.parametrize("env", [None, "0", "1"])
+    def test_switched_forces_the_kernels_booted_inside(self, monkeypatch, env):
+        if env is None:
+            monkeypatch.delenv(ENV_ENABLE, raising=False)
+        else:
+            monkeypatch.setenv(ENV_ENABLE, env)
+        with switched(True):
+            kernel, _ = booted()
+        assert isinstance(kernel.sanitizer, SimSanitizer)
+        with switched(False):
+            kernel, _ = booted()
+        assert kernel.sanitizer is None
+        with switched(None):
+            kernel, _ = booted()
+        assert (kernel.sanitizer is not None) == (env == "1")
+        # The environment is as it was.
+        assert enabled() == (env == "1")
+        assert os.environ.get(ENV_ENABLE) == env
 
 
 class TestCleanRuns:
@@ -102,28 +108,17 @@ class TestCleanRuns:
         kernel.run()
         assert kernel.sanitizer.events_seen > 0
         assert kernel.sanitizer.checks_run > 0
+        # Every event gets the full suite, and Kernel.run one more.
+        assert kernel.sanitizer.checks_run == kernel.sanitizer.events_seen + 1
 
-    def test_stride_batches_full_checks(self, monkeypatch):
-        monkeypatch.setenv(ENV_ENABLE, "1")
-        monkeypatch.setenv(ENV_EVERY, "10")
-        kernel, (spu,) = booted()
-        kernel.spawn(crunch(), spu)
-        kernel.run()
-        san = kernel.sanitizer
-        # The final Kernel.run() sweep adds one check on top of the
-        # strided ones, so even short runs end fully verified.
-        assert san.checks_run <= san.events_seen // 10 + 1
 
-    def test_uninstall_stops_event_checks(self):
-        kernel, (spu,) = booted()
-        san = SimSanitizer(kernel)
-        san.install()
-        san.uninstall()
-        spu.memory().used += 5  # would trip page conservation
-        kernel.spawn(crunch(), spu)
-        kernel.run(max_events=50)
-        assert san.events_seen == 0
-        spu.memory().used -= 5
+def trips_both_checkers(san, law):
+    """SIMSAN raises on ``law``, and the watchdog records it by name."""
+    with pytest.raises(SanitizerError, match=law):
+        san.check()
+    watchdog = InvariantWatchdog(san.kernel)
+    watchdog.check()
+    assert law in {v.name for v in watchdog.violations}
 
 
 class TestCorruptionDetection:
@@ -141,8 +136,7 @@ class TestCorruptionDetection:
         san = self.corrupted(lambda k, s: setattr(
             s.memory(), "used", s.memory().used + 5
         ))
-        with pytest.raises(SanitizerError, match="page-conservation"):
-            san.check()
+        trips_both_checkers(san, "page-conservation")
 
     def test_free_list_leak(self):
         # The chaos suite's sabotage_page_leak shape: total grows while
@@ -150,8 +144,7 @@ class TestCorruptionDetection:
         san = self.corrupted(lambda k, s: setattr(
             k.memory, "total_pages", k.memory.total_pages + 50
         ))
-        with pytest.raises(SanitizerError, match="page-conservation"):
-            san.check()
+        trips_both_checkers(san, "page-conservation")
 
     def test_ledger_level_inversion(self):
         def mutate(kernel, spu):
@@ -159,21 +152,36 @@ class TestCorruptionDetection:
             levels.used = levels.allowed + 1
 
         san = self.corrupted(mutate)
-        with pytest.raises(SanitizerError, match="ledger-sanity"):
-            san.check()
+        trips_both_checkers(san, "ledger-sanity")
+
+    def test_entitlement_above_allowed(self):
+        def mutate(kernel, spu):
+            levels = spu.memory()
+            levels.entitled = levels.allowed + 1
+
+        san = self.corrupted(mutate)
+        trips_both_checkers(san, "ledger-sanity")
+
+    def test_page_pool_below_one_page(self):
+        def mutate(kernel, spu):
+            kernel.memory.total_pages = 0
+            kernel.memory.free_pages = -sum(
+                s.memory().used for s in kernel.registry.all_spus()
+            )
+
+        san = self.corrupted(mutate)
+        trips_both_checkers(san, "page-conservation")
 
     def test_cpu_books_diverge(self):
         san = self.corrupted(
             lambda k, s: k.cpu_busy_us.__setitem__(0, k.cpu_busy_us[0] + 1000),
             run=True,
         )
-        with pytest.raises(SanitizerError, match="cpu-conservation"):
-            san.check()
+        trips_both_checkers(san, "cpu-conservation")
 
     def test_negative_cpu_counter(self):
         san = self.corrupted(lambda k, s: k.cpu_busy_us.__setitem__(0, -5))
-        with pytest.raises(SanitizerError, match="cpu-conservation"):
-            san.check()
+        trips_both_checkers(san, "cpu-conservation")
 
     def test_disk_ledger_drift(self):
         def mutate(kernel, spu):
@@ -267,20 +275,15 @@ class TestCorruptionDetection:
             kernel.run()
 
     def test_final_sweep_catches_post_run_state(self, monkeypatch):
-        # Corruption introduced by the very last events is caught by the
-        # closing check() in Kernel.run even with a large stride.
+        # Corruption made outside any event (here, before a run with
+        # nothing to do, so the post-event hook never fires) is caught
+        # by the closing check() in Kernel.run.
         monkeypatch.setenv(ENV_ENABLE, "1")
-        monkeypatch.setenv(ENV_EVERY, "1000000")
-        kernel, (spu,) = booted()
-
-        def leaky():
-            yield Compute(msecs(1))
-            kernel.memory.total_pages += 50
-            yield Compute(msecs(1))
-
-        kernel.spawn(leaky(), spu)
+        kernel, _ = booted()
+        kernel.memory.total_pages += 50
         with pytest.raises(SanitizerError, match="page-conservation"):
             kernel.run()
+        assert kernel.sanitizer.events_seen == 0
 
 
 class TestBehaviourUnchanged:
